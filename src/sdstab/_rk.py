@@ -5,15 +5,23 @@ embedded 4th-order result supplies the error estimate. Accepting steps
 against err <= scale * h keeps the endpoint error roughly proportional
 to the tolerance, so tightening the tolerance tenfold buys a tenfold
 error reduction.
+
+States are lists of Python floats inside the kernel, where numpy's per-call
+overhead would dwarf the arithmetic on a few components, and ndarrays at
+its boundary. Each operation matches its elementwise numpy counterpart in
+order (no fused multiply-add), so results are bit-identical to numpy's.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["IntegrationError", "integrate_segment", "fixed_steps"]
+
+Rhs = Callable[[Sequence[float]], Sequence[float]]
 
 
 class IntegrationError(RuntimeError):
@@ -36,43 +44,63 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
-def _stages(rhs, y, h, k1):
-    k2 = rhs(y + h * (_A21 * k1))
-    k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
-    k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+def _stages(rhs: Rhs, y: list[float], h: float, k1: Sequence[float]):
+    """One step of size h from y, given k1 = rhs(y). Returns the lists
+    (y_new, err, k7), where k7 = rhs(y_new) is the next step's k1."""
+    k2 = rhs([a + h * (_A21 * p1) for a, p1 in zip(y, k1)])
+    k3 = rhs([a + h * (_A31 * p1 + _A32 * p2) for a, p1, p2 in zip(y, k1, k2)])
+    k4 = rhs([a + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+              for a, p1, p2, p3 in zip(y, k1, k2, k3)])
+    k5 = rhs([a + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+              for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([a + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+              for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [a + h * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+             for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
     k7 = rhs(y_new)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    err = [h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+           for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
     return y_new, err, k7
 
 
+def _error_norm(err, y, y_new, atol: float, rtol: float) -> float:
+    """max_i |err_i| / (atol + rtol * max(|y_i|, |y_new_i|)); NaN if any
+    ratio is NaN, as with np.max (Python's max may skip it)."""
+    ratios = [abs(e) / (atol + rtol * max(abs(a), abs(b)))
+              for e, a, b in zip(err, y, y_new)]
+    return max(ratios) if all(r == r for r in ratios) else math.nan
+
+
 def integrate_segment(
-        rhs: Callable[[np.ndarray], np.ndarray],
-        y0: np.ndarray,
+        rhs: Rhs,
+        y0: Sequence[float],
         duration: float,
         tol: float,
         divergence_bound: float = 1e6,
         sample_times: Sequence[float] | None = None,
         h_max: float | None = None,
-        on_step=None):
+        on_step: Callable[[float, list[float]], None] | None = None,
+) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
     """Integrate ydot = rhs(y) over [0, duration].
 
-    Steps land exactly on every requested sample time and on the segment
-    end. Returns (samples, y_end) where samples are (t, y) pairs at the
-    requested times including both endpoints. ``on_step(t, y)`` is invoked
-    at every accepted step for callers that track extrema.
+    ``rhs`` is called with lists of floats. Steps land exactly on every
+    requested sample time and on the segment end. Returns (samples, y_end)
+    where samples are (t, y) pairs at the requested times including both
+    endpoints, every y an ``np.ndarray``. ``on_step(t, y)`` is invoked at
+    the start and at every accepted step, for callers that track extrema,
+    with y a list of floats that the kernel does not modify afterwards.
     """
     if duration < 0:
         raise ValueError(f"segment duration must be >= 0, got {duration}")
-    y = np.asarray(y0, dtype=float).copy()
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    y = np.asarray(y0, dtype=float).tolist()
     if duration == 0.0:
-        return [(0.0, y.copy()), (0.0, y.copy())], y
+        return [(0.0, np.array(y)), (0.0, np.array(y))], np.array(y)
 
     targets = sorted({float(s) for s in (sample_times or []) if 0.0 < s < duration})
     targets.append(duration)
-    samples = [(0.0, y.copy())]
+    samples = [(0.0, np.array(y))]
     if on_step is not None:
         on_step(0.0, y)
 
@@ -93,7 +121,7 @@ def integrate_segment(
         if gap <= 1e-14 * max(1.0, abs(t)):
             # arrived within roundoff of the target; the state is the
             # target state to machine precision
-            samples.append((target, y.copy()))
+            samples.append((target, np.array(y)))
             t = target
             target_idx += 1
             continue
@@ -104,21 +132,21 @@ def integrate_segment(
             y_new, err, k_last = _stages(rhs, y, h, k1)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise IntegrationError(f"right-hand side failed near t = {t}: {exc}") from exc
-        if not np.all(np.isfinite(y_new)):
-            raise IntegrationError(f"non-finite state near t = {t}")
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.max(np.abs(err) / scale))
+        err_norm = _error_norm(err, y, y_new, atol, rtol)
+        # a NaN error estimate would leave h unchanged and the step rejected forever
+        if err_norm != err_norm or not all(map(math.isfinite, y_new)):
+            raise IntegrationError(f"non-finite state or error estimate near t = {t}")
         if err_norm <= h:
             t += h
             y = y_new
             k1 = k_last
             if on_step is not None:
                 on_step(t, y)
-            if float(np.max(np.abs(y))) > divergence_bound:
+            if max(map(abs, y)) > divergence_bound:
                 raise IntegrationError(
                     f"state norm exceeded divergence bound {divergence_bound} at t = {t}")
             if t >= target:
-                samples.append((target, y.copy()))
+                samples.append((target, np.array(y)))
                 t = target
                 target_idx += 1
             factor = _SAFETY * (h / max(err_norm, 1e-300)) ** 0.25
@@ -126,14 +154,14 @@ def integrate_segment(
         else:
             factor = _SAFETY * (h / err_norm) ** 0.25
             h *= max(_MIN_FACTOR, min(1.0, factor))
-    return samples, y
+    return samples, np.array(y)
 
 
-def fixed_steps(rhs, y0, duration: float, steps: int) -> np.ndarray:
+def fixed_steps(rhs: Rhs, y0: Sequence[float], duration: float, steps: int) -> np.ndarray:
     """Propagate with a fixed step (no error control); 5th-order endpoint."""
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     h = duration / steps
     k1 = rhs(y)
     for _ in range(steps):
         y, _, k1 = _stages(rhs, y, h, k1)
-    return y
+    return np.array(y)

@@ -20,6 +20,7 @@ All zero/sign decisions use the scale-aware tolerance
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -96,7 +97,8 @@ class SystemDef:
         return self.f.dim
 
     def rhs(self, u: float):
-        """Compiled right-hand side x -> f(x) + u*g(x), cached per value."""
+        """Compiled right-hand side x -> f(x) + u*g(x) as a list of floats,
+        cached per value."""
         u = float(u)
         fn = self._fns.get(("rhs", u))
         if fn is None:
@@ -105,7 +107,19 @@ class SystemDef:
         return fn
 
     def v_value(self, x) -> float:
-        return self.v_at(x)
+        """V(x) at a state of this system; raises ValueError unless x has
+        the system's dimension and x and V(x) are finite."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
+        state = x.tolist()
+        try:
+            v = self.v_at(state)
+        except (ArithmeticError, ValueError):
+            v = math.nan
+        if not (math.isfinite(v) and all(map(math.isfinite, state))):
+            raise ValueError(f"the state {tuple(state)} or V there is not finite")
+        return v
 
 
 # --- cached derived quantities ---------------------------------------------
@@ -198,10 +212,10 @@ def certify_point(
         x: Sequence[float],
         n_max: int = DEFAULT_N_MAX,
         tau_zero: float = DEFAULT_TAU_ZERO) -> Certificate:
-    """Classify the state x != 0. Pure function of its arguments."""
+    """Classify the state x != 0. Pure function of its arguments. Raises
+    ValueError when x or V(x) is not finite."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({sys.dim},)")
+    sys.v_value(x)
     norm = float(np.linalg.norm(x))
     if norm <= tau_zero:
         raise ValueError("certification point is numerically the origin")

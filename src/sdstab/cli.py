@@ -269,9 +269,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        point = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise CliError(f"cannot parse point {text!r}") from None
+    if not np.all(np.isfinite(point)):
+        raise CliError(f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def _parse_box(text: str) -> list[tuple[float, float]]:

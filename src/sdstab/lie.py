@@ -90,8 +90,10 @@ class VectorField:
         return np.array([evaluate(c, point) for c in self.components])
 
     def compiled(self):
+        """Compiled field x -> [X_1(x), ..., X_n(x)] (a list: the RK kernel
+        works on lists of floats)."""
         fns = [compile_expr(c) for c in self.components]
-        return lambda x: np.array([fn(x) for fn in fns])
+        return lambda x: [fn(x) for fn in fns]
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_dims(self, other)

@@ -291,7 +291,7 @@ def run_closed_loop(
     the planned open-loop schedule until the next one, stop early once the
     state enters the stop radius."""
     x = np.asarray(x0, dtype=float)
-    v0 = sys.v_at(x)
+    v0 = sys.v_value(x)
     times = [0.0]
     states = [x.copy()]
     checkpoints = [(0.0, x.copy(), v0)]
@@ -369,21 +369,17 @@ def run_closed_loop(
     return traj, report
 
 
-def _assemble(sys, times, states, checkpoints, events, v_sup=None) -> Trajectory:
+def _assemble(sys, times, states, checkpoints, events, v_sup) -> Trajectory:
     times = np.array(times)
     states = np.vstack(states)
     v_values = np.array([sys.v_at(y) for y in states])
-    if v_sup is None:
-        v_sup = float(np.max(v_values)) if len(v_values) else 0.0
     return Trajectory(times, states, v_values, checkpoints, events, v_sup)
 
 
 def _report(sys, traj: Trajectory, intervals, stopped, stop_time, failure,
-            overshoot=None) -> LoopReport:
+            overshoot) -> LoopReport:
     final_state = traj.states[-1]
     checkpoint_vs = [(t, v) for t, _, v in traj.checkpoints]
-    if overshoot is None:
-        overshoot = _overshoot_ratio(traj)
     thresholds = _threshold_times(traj)
     return LoopReport(
         final_state=final_state,
@@ -398,23 +394,6 @@ def _report(sys, traj: Trajectory, intervals, stopped, stop_time, failure,
     )
 
 
-def _overshoot_ratio(traj: Trajectory) -> float:
-    """max over samples of V(x(s)) / V(latest checkpoint at or before s)."""
-    if not traj.checkpoints:
-        return 1.0
-    cp_times = [t for t, _, _ in traj.checkpoints]
-    cp_vs = [v for _, _, v in traj.checkpoints]
-    ratio = 1.0
-    idx = 0
-    for t, v in zip(traj.times, traj.v_values):
-        while idx + 1 < len(cp_times) and cp_times[idx + 1] <= t:
-            idx += 1
-        base = cp_vs[idx]
-        if base > 0:
-            ratio = max(ratio, v / base)
-    return ratio
-
-
 def _threshold_times(traj: Trajectory) -> dict[float, float]:
     """First time from which V stays at or below each half-decade threshold."""
     if len(traj.times) == 0:
@@ -423,7 +402,8 @@ def _threshold_times(traj: Trajectory) -> dict[float, float]:
     suffix_max = np.maximum.accumulate(v[::-1])[::-1]
     v_start = v[0]
     out = {}
-    if v_start <= 0:
+    if not 0 < v_start < math.inf:
+        # halving an infinite V never reaches a threshold
         return out
     mu = v_start / 2.0
     floor = float(np.min(suffix_max))

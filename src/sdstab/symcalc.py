@@ -491,8 +491,9 @@ def _pycode(e: Expr) -> str:
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """Compile a tree to a fast float function of the state vector.
 
-    Same float semantics as evaluate() on the same tree shape, but domain
-    violations surface as ZeroDivisionError/ValueError from the runtime.
+    Same float semantics as evaluate() on the same tree shape, but on
+    Python floats domain violations surface as ZeroDivisionError,
+    ValueError or OverflowError from the runtime.
     """
     return eval(f"lambda _x: {_pycode(e)}", dict(_NAMESPACE))
 

@@ -11,7 +11,8 @@ rather than a black box.
 
 Every existence claim ("a sufficiently large u1", "a suitable rho") is
 realized as a bounded deterministic grid search whose winner is verified
-by re-simulation; nothing is trusted from the derivative estimates alone.
+by re-simulation; the derivative estimates are diagnostics only and take
+no part in the search.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def cbh_residual(sys: SystemDef, x0, rho: float, u1: float, k: int, t: float,
 
     series = np.zeros(sys.dim)
     for i, fn in enumerate(field_fns):
-        series += (rho * t) ** i / math.factorial(i) * fn(rt)
+        series += (rho * t) ** i / math.factorial(i) * np.asarray(fn(rt))
     return float(np.linalg.norm(rdot - series))
 
 
@@ -300,17 +301,20 @@ def synthesize_step(
         n_max: int = DEFAULT_N_MAX,
         tol: float = 1e-10,
         tau_zero: float = DEFAULT_TAU_ZERO,
-        certificate: Certificate | None = None,
-        md_base_step: float = 0.01,
-        md_tol: float = 1e-11) -> StepResult:
+        certificate: Certificate | None = None) -> StepResult:
     """Produce a verified program of duration at most xi with
     V(end) < V(x0) and max V along the step at most 2 V(x0).
 
-    The strategy is dictated by the certificate case; candidate order is
-    fixed, so the result is a pure function of the arguments.
+    The strategy is dictated by the certificate case: candidates (an input
+    sign and amplitude, or a (rho, u1) pair) come in a fixed order, each
+    with durations halving from the cap, and the first one whose simulation
+    drops V by more than the floor without exceeding 2 V(x0) is returned.
+    The result is a pure function of the arguments. Raises ValueError when
+    x0 or V(x0) is not finite.
     """
     budget = budget or DEFAULT_BUDGET
     x0 = np.asarray(x0, dtype=float)
+    v0 = sys.v_value(x0)
     if float(np.linalg.norm(x0)) <= tau_zero:
         raise ValueError("cannot synthesize a step at the origin")
     if not xi > 0:
@@ -319,7 +323,6 @@ def synthesize_step(
     if cert.case is Case.INCONCLUSIVE:
         raise CertificateInconclusive(cert)
 
-    v0 = sys.v_at(x0)
     drop_floor = v0 * max(100.0 * tol, 1e-12)
     state = {"sims": 0, "best": None}
 
@@ -339,11 +342,6 @@ def synthesize_step(
                               tuple(float(v) for v in end))
         return None
 
-    def charge(simulations: int):
-        state["sims"] += simulations
-        if state["sims"] > budget.max_simulations:
-            raise _BudgetExhausted
-
     def single_segment_search(u: float) -> StepResult | None:
         for eps in _halvings(xi, budget.duration_floor_factor):
             result = attempt(ControlProgram(((u, eps),)), 0.0, u)
@@ -351,29 +349,8 @@ def synthesize_step(
                 return result
         return None
 
-    def derivative_gate(rho: float, u1: float, order: int) -> bool:
-        h = md_base_step / ((1.0 + abs(u1)) * max(1.0, rho))
-        try:
-            md = m_derivative_estimates(
-                sys, x0, rho, u1, order, base_step=h, tol=md_tol)
-        except IntegrationError:
-            return False
-        charge(md.evaluations)
-        top = md.values[order - 1]
-        if not top < -(md.noise[order - 1] + 1e-10 * (1.0 + v0)):
-            return False
-        for n in range(order - 1):
-            if abs(md.values[n]) > md.noise[n] + 1e-3 * abs(top) + 1e-8 * (1.0 + v0):
-                return False
-        return True
-
-    def two_phase_search(pairs, use_gate: bool) -> StepResult | None:
-        # estimates only reach order 4; beyond that the simulation check
-        # alone selects candidates
-        use_gate = use_gate and cert.N + 1 <= 4
-        for rho, u1 in pairs:
-            if use_gate and not derivative_gate(rho, u1, cert.N + 1):
-                continue
+    def two_phase_search() -> StepResult | None:
+        for rho, u1 in candidate_pairs():
             for t in _halvings(xi / (1.0 + rho), budget.duration_floor_factor):
                 result = attempt(two_phase_program(rho, u1, t), rho, u1)
                 if result is not None:
@@ -410,13 +387,7 @@ def synthesize_step(
             if result is not None:
                 return result
         else:
-            result = two_phase_search(candidate_pairs(), use_gate=True)
-            if result is None:
-                # near-degenerate witnesses can leave every m-derivative
-                # estimate inside its noise bound; the candidate signs are
-                # still ordered by the certificate, and the simulation check
-                # remains the authority, so retry without the gate
-                result = two_phase_search(candidate_pairs(), use_gate=False)
+            result = two_phase_search()
             if result is not None:
                 return result
     except _BudgetExhausted:

@@ -51,6 +51,12 @@ def test_origin_rejected(dblint):
         certify_point(dblint, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (np.inf, 0.0), (1e200, 0.0)])
+def test_non_finite_point_or_value_rejected(dblint, point):
+    with pytest.raises(ValueError, match="not finite"):
+        certify_point(dblint, point)
+
+
 def test_inconclusive_is_reported_not_raised(inert_system):
     cert = certify_point(inert_system, (1.0, 0.0))
     assert cert.case is Case.INCONCLUSIVE

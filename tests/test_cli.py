@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdstab
 from sdstab.cli import (
     load_system, main, parse_system_file, read_trajectory_csv, CliError,
 )
@@ -164,6 +169,26 @@ def test_usage_errors_exit_one(systems_dir, tmp_path):
                  "--out", str(tmp_path)]) == 1          # bad partition kind
     assert main(["certify", *_sys_arg(systems_dir, "dblint.sys"),
                  "--at", "one,zero", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x0", "inf,0", "--partition", "uniform:0.5", "--horizon", "5"],
+    ["simulate", "--x0", "1e200,0", "--partition", "uniform:0.5", "--horizon", "5"],
+    ["certify", "--at", "nan,0"],
+    ["step", "--at", "nan,0"],
+    ["step", "--at", "1e200,0"],
+])
+def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
+    # a separate process, so that a hang fails the test instead of the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from sdstab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv, *_sys_arg(systems_dir, "dblint.sys"),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_explicit_partition_flag(systems_dir, tmp_path):

@@ -7,6 +7,7 @@ from sdstab.simloop import (
     FactCheck, IntegrationError, Partition, Trajectory, integrate,
     observed_integration_order, plan_interval, run_closed_loop, verify_facts,
 )
+from sdstab.simloop import _threshold_times
 from sdstab.synth import ControlProgram
 
 
@@ -153,6 +154,18 @@ def test_closed_loop_immediate_return_inside_stop_radius(dblint):
     assert report.stopped_early
     assert len(traj.times) == 1
     assert not report.intervals
+
+
+@pytest.mark.parametrize("x0", [[np.inf, 0.0], [np.nan, 0.0], [1e200, 0.0]])
+def test_closed_loop_rejects_non_finite_start(dblint, x0):
+    with pytest.raises(ValueError, match="not finite"):
+        run_closed_loop(dblint, x0, Partition.uniform(0.5), 5.0)
+
+
+def test_threshold_times_stop_on_infinite_v():
+    traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)),
+                      np.array([np.inf, 1.0]), [], [])
+    assert _threshold_times(traj) == {}
 
 
 def test_closed_loop_records_sampled_data_plan(short_run, dblint):

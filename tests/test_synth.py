@@ -170,6 +170,13 @@ def test_step_rejects_origin(dblint):
         synthesize_step(dblint, [0.0, 0.0], 0.5)
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [-np.inf, 1.0], [1e200, 0.0]])
+def test_step_rejects_non_finite_state(dblint, point):
+    cert = certify_point(dblint, [1.0, 0.0])
+    with pytest.raises(ValueError, match="not finite"):
+        synthesize_step(dblint, point, 0.5, certificate=cert)
+
+
 def test_step_p4_rotation(rotation3):
     result = synthesize_step(rotation3, [1.0, 0.0, 0.0], 0.5)
     assert result.certificate.case is Case.P4
