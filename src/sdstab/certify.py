@@ -13,6 +13,11 @@ with candidate function V:
 * Inconclusive      -- none of the above up to N_max. This is a
   first-class outcome: the conditions are sufficient, not necessary.
 
+Every witness is V differentiated along a bracket monomial, evaluated by
+``monomial_value``: gV is (g), f^N V is (f, ..., f), and the adjoint
+witnesses are ([...[f,g],...,g]) and ([...[g,f],...,f]). N_max is capped
+at N_MAX_LIMIT.
+
 All zero/sign decisions use the scale-aware tolerance
 |v| <= tau_zero * (1 + |x|^2).
 """
@@ -28,17 +33,21 @@ from typing import Sequence
 import numpy as np
 
 from .lie import (
-    LieWord, ScalarField, VectorField,
-    directional_derivative, enumerate_monomial_products, iterated_adjoint,
+    LieWord, ScalarField, VectorField, WORD_F, WORD_G, bracket_word,
+    directional_derivative, enumerate_monomial_products, lie_bracket,
 )
 
 __all__ = [
     "Case", "Certificate", "SystemDef", "GridEntry",
-    "certify_point", "certify_grid", "DEFAULT_TAU_ZERO", "DEFAULT_N_MAX",
+    "certify_point", "certify_grid", "monomial_value",
+    "DEFAULT_TAU_ZERO", "DEFAULT_N_MAX", "N_MAX_LIMIT",
 ]
 
 DEFAULT_TAU_ZERO = 1e-9
 DEFAULT_N_MAX = 4
+# the bracket monomials up to order N number 78, 391 and 2,064 for
+# N = 4, 5, 6: cold certification cost grows about fivefold per order
+N_MAX_LIMIT = 6
 
 
 class Case(Enum):
@@ -62,15 +71,14 @@ class SystemDef:
     f: VectorField
     g: VectorField
     V: ScalarField
-    _fns: dict = field(default_factory=dict, repr=False)
-    _scalars: dict = field(default_factory=dict, repr=False)
+    # compiled monomials (keyed by word tuple), realized bracket words
+    # (keyed by word) and compiled right-hand sides (keyed by ("rhs", u))
+    _fns: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (self.f.dim == self.g.dim == self.V.dim):
             raise ValueError(
                 f"dimension mismatch: f={self.f.dim} g={self.g.dim} V={self.V.dim}")
-        self.f_at = self.f.compiled()
-        self.g_at = self.g.compiled()
         self.v_at = self.V.compiled()
         origin = np.zeros(self.dim)
         v0 = self.v_at(origin)
@@ -122,67 +130,30 @@ class SystemDef:
         return v
 
 
-# --- cached derived quantities ---------------------------------------------
+# --- bracket monomials -----------------------------------------------------
 
-def _scalar_fn(sys: SystemDef, key, build):
-    fn = sys._fns.get(key)
-    if fn is None:
-        sf = build()
-        sys._scalars[key] = sf
-        raw = sf.compiled()
-        fn = lambda x: float(raw(x))
-        sys._fns[key] = fn
-    return fn
-
-
-def gv_value(sys: SystemDef, x) -> float:
-    fn = _scalar_fn(sys, "gV", lambda: directional_derivative(sys.g, sys.V))
-    return fn(x)
-
-
-def _drift_power_field(sys: SystemDef, i: int) -> ScalarField:
-    key = ("fV", i)
-    sf = sys._scalars.get(key)
-    if sf is None:
-        base = sys.V if i == 1 else _drift_power_field(sys, i - 1)
-        sf = directional_derivative(sys.f, base)
-        sys._scalars[key] = sf
-    return sf
-
-
-def drift_power_value(sys: SystemDef, i: int, x) -> float:
-    """(f^i V)(x)."""
-    return _scalar_fn(sys, ("fV*", i), lambda: _drift_power_field(sys, i))(x)
-
-
-def adjoint_g_of_f_value(sys: SystemDef, n: int, x) -> float:
-    """([[...[[f,g],g],...,g] V)(x) with n bracketings by g."""
-    fn = _scalar_fn(
-        sys, ("adg", n),
-        lambda: directional_derivative(iterated_adjoint(sys.f, sys.g, n), sys.V))
-    return fn(x)
-
-
-def adjoint_f_of_g_value(sys: SystemDef, n: int, x) -> float:
-    """([[...[[g,f],f],...,f] V)(x) with n bracketings by f."""
-    fn = _scalar_fn(
-        sys, ("adf", n),
-        lambda: directional_derivative(iterated_adjoint(sys.g, sys.f, n), sys.V))
-    return fn(x)
+def _word_field(sys: SystemDef, w: LieWord) -> VectorField:
+    """The vector field of a bracket word, realized once per system."""
+    fld = sys._fns.get(w)
+    if fld is None:
+        if w.leaf is not None:
+            fld = sys.f if w == WORD_F else sys.g
+        else:
+            fld = lie_bracket(_word_field(sys, w.left), _word_field(sys, w.right))
+        sys._fns[w] = fld
+    return fld
 
 
 def monomial_value(sys: SystemDef, words: tuple[LieWord, ...], x) -> float:
     """(D_1 D_2 ... D_k V)(x), applying the rightmost word first."""
-    def build():
+    fn = sys._fns.get(words)
+    if fn is None:
         scalar = sys.V
         for w in reversed(words):
-            fld = sys._scalars.get(("word", w))
-            if fld is None:
-                fld = w.realize(sys.f, sys.g)
-                sys._scalars[("word", w)] = fld
-            scalar = directional_derivative(fld, scalar)
-        return scalar
-    return _scalar_fn(sys, ("mono", words), build)(x)
+            scalar = directional_derivative(_word_field(sys, w), scalar)
+        raw = scalar.compiled()
+        fn = sys._fns[words] = lambda x: float(raw(x))
+    return fn(x)
 
 
 # --- certificates ------------------------------------------------------------
@@ -203,8 +174,9 @@ class Certificate:
         return f"case={self.case.value} N={self.N}"
 
 
-def _witness_names(N: int):
-    return f"ad_g^{N}(f)V", f"ad_f^{N}(g)V"
+def _check_n_max(n_max: int) -> None:
+    if not 0 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(f"n_max must be between 0 and {N_MAX_LIMIT}, got {n_max}")
 
 
 def certify_point(
@@ -213,7 +185,9 @@ def certify_point(
         n_max: int = DEFAULT_N_MAX,
         tau_zero: float = DEFAULT_TAU_ZERO) -> Certificate:
     """Classify the state x != 0. Pure function of its arguments. Raises
-    ValueError when x or V(x) is not finite."""
+    ValueError when x or V(x) is not finite or n_max is outside
+    [0, N_MAX_LIMIT]."""
+    _check_n_max(n_max)
     x = np.asarray(x, dtype=float)
     sys.v_value(x)
     norm = float(np.linalg.norm(x))
@@ -222,27 +196,28 @@ def certify_point(
     tol = tau_zero * (1.0 + norm * norm)
 
     witnesses: dict[str, float] = {}
-    gv = gv_value(sys, x)
+    gv = monomial_value(sys, (WORD_G,), x)
     witnesses["gV"] = gv
     if abs(gv) > tol:
         return Certificate(Case.TRANSVERSAL, 0, witnesses, tau_zero, tol)
 
-    fv = drift_power_value(sys, 1, x)
+    fv = monomial_value(sys, (WORD_F,), x)
     witnesses["fV"] = fv
     if fv < -tol:
         return Certificate(Case.ARTSTEIN_SONTAG, 0, witnesses, tau_zero, tol)
 
+    adg_word, adf_word = WORD_F, WORD_G
     for N in range(1, n_max + 1):
         # vanishing conditions, incremental in N: f^N V and the bracket
         # monomials of total order exactly N; a failure here persists for
         # every larger N, so the whole branch is then settled.
-        fnv = drift_power_value(sys, N, x)
+        fnv = monomial_value(sys, (WORD_F,) * N, x)
         witnesses[f"f^{N}V" if N > 1 else "fV"] = fnv
         if abs(fnv) > tol:
             return Certificate(
                 Case.INCONCLUSIVE, 0, witnesses, tau_zero, tol,
                 detail=f"f^{N}V(x) = {fnv} is not zero at tolerance {tol}")
-        for words in enumerate_monomial_products(N, n_max):
+        for words in enumerate_monomial_products(N):
             if sum(w.order for w in words) != N:
                 continue
             value = monomial_value(sys, words, x)
@@ -252,20 +227,21 @@ def certify_point(
                     Case.INCONCLUSIVE, 0, witnesses, tau_zero, tol,
                     detail=f"({name}V)(x) = {value} is not zero at tolerance {tol}")
 
-        fn1 = drift_power_value(sys, N + 1, x)
+        # the N-fold adjoints [...[f,g],...,g] and [...[g,f],...,f]
+        adg_word, adf_word = bracket_word(adg_word, WORD_G), bracket_word(adf_word, WORD_F)
+        fn1 = monomial_value(sys, (WORD_F,) * (N + 1), x)
         witnesses[f"f^{N + 1}V"] = fn1
-        adg_name, adf_name = _witness_names(N)
         if fn1 < -tol:
             return Certificate(Case.P1, N, witnesses, tau_zero, tol)
-        adg = adjoint_g_of_f_value(sys, N, x)
-        witnesses[adg_name] = adg
+        adg = monomial_value(sys, (adg_word,), x)
+        witnesses[f"ad_g^{N}(f)V"] = adg
         if N % 2 == 1 and abs(adg) > tol:
             return Certificate(Case.P2, N, witnesses, tau_zero, tol)
         if N % 2 == 0 and adg < -tol:
             return Certificate(Case.P3, N, witnesses, tau_zero, tol)
         if abs(fn1) <= tol:
-            adf = adjoint_f_of_g_value(sys, N, x)
-            witnesses[adf_name] = adf
+            adf = monomial_value(sys, (adf_word,), x)
+            witnesses[f"ad_f^{N}(g)V"] = adf
             if abs(adf) > tol:
                 return Certificate(Case.P4, N, witnesses, tau_zero, tol)
 
@@ -297,6 +273,7 @@ def certify_grid(
             f"got {len(box)}/{len(resolution)}")
     if any(k < 1 for k in resolution):
         raise ValueError("empty grid: every axis resolution must be >= 1")
+    _check_n_max(n_max)
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(box, resolution)]
     entries = []
     for coords in itertools.product(*axes):

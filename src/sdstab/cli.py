@@ -12,6 +12,11 @@ Any other ``name = value`` line defines a named parameter that is
 substituted textually (wrapped in parentheses) into the f/g/V strings
 before parsing.
 
+Points, boxes, resolutions, partitions and times are converted while the
+arguments are parsed, so a malformed or non-finite value is reported
+before the system is loaded; ``--nmax`` must lie in [0, 6]. Run it as
+``sdstab`` or ``python -m sdstab``.
+
 Exit codes: 0 on success, 2 when certification is inconclusive or
 synthesis fails, 1 on any error.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys as _sys
 from dataclasses import dataclass
@@ -29,8 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import (
-    Case, Certificate, DEFAULT_N_MAX, DEFAULT_TAU_ZERO, SystemDef,
-    certify_grid, certify_point,
+    Case, Certificate, DEFAULT_N_MAX, SystemDef, certify_grid, certify_point,
 )
 from .lie import ScalarField, VectorField
 from .simloop import (
@@ -43,7 +48,7 @@ from .synth import (
     m_derivative_estimates, synthesize_step,
 )
 
-__all__ = ["SystemFile", "RunConfig", "load_system", "run", "main",
+__all__ = ["SystemFile", "load_system", "run", "main",
            "write_trajectory_csv", "read_trajectory_csv", "write_certificate_csv"]
 
 
@@ -282,9 +287,12 @@ def _parse_box(text: str) -> list[tuple[float, float]]:
     for axis in text.split(","):
         lo, _, hi = axis.partition(":")
         try:
-            out.append((float(lo), float(hi)))
+            bounds = (float(lo), float(hi))
         except ValueError:
             raise CliError(f"cannot parse box axis {axis!r}") from None
+        if not all(map(math.isfinite, bounds)):
+            raise CliError(f"box axis {axis!r} has a non-finite bound")
+        out.append(bounds)
     return out
 
 
@@ -293,6 +301,13 @@ def _parse_resolution(text: str) -> list[int]:
         return [int(v) for v in text.split(",")]
     except ValueError:
         raise CliError(f"cannot parse resolution {text!r}") from None
+
+
+def _parse_times(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise CliError(f"cannot parse times {text!r}") from None
 
 
 def _parse_partition(text: str) -> Partition:
@@ -314,76 +329,14 @@ def _parse_partition(text: str) -> Partition:
                    "explicit:t1,t2,...[+STEP])")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of a single invocation."""
-
-    command: str
-    system_path: str
-    at: np.ndarray | None = None
-    x0: np.ndarray | None = None
-    box: list | None = None
-    resolution: list | None = None
-    partition: Partition | None = None
-    horizon: float = 50.0
-    n_max: int = DEFAULT_N_MAX
-    xi: float | None = None
-    tol: float = 1e-10
-    tau_zero: float = DEFAULT_TAU_ZERO
-    rho: float = 1.0
-    u1: float = 1.0
-    order: int = 2
-    k: int = 2
-    t_values: tuple[float, ...] = ()
-    out_dir: Path = Path(".")
-
-
-def _build_config(args) -> RunConfig:
-    kwargs = {
-        "command": args.command,
-        "system_path": args.system,
-        "n_max": args.nmax,
-        "tol": args.tol,
-        "out_dir": Path(args.out),
-    }
-    if getattr(args, "at", None) is not None:
-        kwargs["at"] = _parse_point(args.at)
-    if getattr(args, "x0", None) is not None:
-        kwargs["x0"] = _parse_point(args.x0)
-    if getattr(args, "box", None) is not None:
-        kwargs["box"] = _parse_box(args.box)
-    if getattr(args, "res", None) is not None:
-        kwargs["resolution"] = _parse_resolution(args.res)
-    if getattr(args, "partition", None) is not None:
-        kwargs["partition"] = _parse_partition(args.partition)
-    if getattr(args, "horizon", None) is not None:
-        kwargs["horizon"] = args.horizon
-    if getattr(args, "xi", None) is not None:
-        kwargs["xi"] = args.xi
-    if getattr(args, "rho", None) is not None:
-        kwargs["rho"] = args.rho
-    if getattr(args, "u1", None) is not None:
-        kwargs["u1"] = args.u1
-    if getattr(args, "order", None) is not None:
-        kwargs["order"] = args.order
-    if getattr(args, "k", None) is not None:
-        kwargs["k"] = args.k
-    if getattr(args, "t", None) is not None:
-        kwargs["t_values"] = tuple(float(v) for v in args.t.split(","))
-    return RunConfig(**kwargs)
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one validated invocation; returns the process exit code."""
-    sys_def = load_system(config.system_path)
-    out = config.out_dir
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one parsed invocation; returns the process exit code."""
+    sys_def = load_system(args.system)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if config.command == "certify":
-        if config.at is None:
-            raise CliError("certify requires --at")
-        cert = certify_point(sys_def, config.at, n_max=config.n_max,
-                             tau_zero=config.tau_zero)
+    if args.command == "certify":
+        cert = certify_point(sys_def, args.at, n_max=args.nmax)
         print(cert.summary())
         for name, value in cert.witnesses.items():
             print(f"  {name} = {_fmt(value)}")
@@ -391,14 +344,11 @@ def run(config: RunConfig) -> int:
             print(f"  {cert.detail}")
         write_certificate_csv(
             out / "certificates.csv",
-            [(tuple(config.at), cert, False)], sys_def.dim)
+            [(tuple(args.at), cert, False)], sys_def.dim)
         return 2 if cert.case is Case.INCONCLUSIVE else 0
 
-    if config.command == "certify-grid":
-        if config.box is None or config.resolution is None:
-            raise CliError("certify-grid requires --box and --res")
-        entries = certify_grid(sys_def, config.box, config.resolution,
-                               n_max=config.n_max, tau_zero=config.tau_zero)
+    if args.command == "certify-grid":
+        entries = certify_grid(sys_def, args.box, args.res, n_max=args.nmax)
         rows = [(e.point, e.certificate, e.skipped) for e in entries]
         write_certificate_csv(out / "certificates.csv", rows, sys_def.dim)
         counts: dict[str, int] = {}
@@ -410,12 +360,8 @@ def run(config: RunConfig) -> int:
             not e.skipped and e.certificate.case is Case.INCONCLUSIVE for e in entries)
         return 2 if any_inconclusive else 0
 
-    if config.command == "step":
-        if config.at is None:
-            raise CliError("step requires --at")
-        xi = config.xi if config.xi is not None else 0.5
-        result = synthesize_step(sys_def, config.at, xi, n_max=config.n_max,
-                                 tol=config.tol, tau_zero=config.tau_zero)
+    if args.command == "step":
+        result = synthesize_step(sys_def, args.at, args.xi, n_max=args.nmax, tol=args.tol)
         print(f"{result.certificate.summary()} rho={_fmt(result.rho)} "
               f"u1={_fmt(result.u1)} drop={_fmt(result.v_drop)} "
               f"sup_ratio={_fmt(result.sup_v_ratio)}")
@@ -425,13 +371,10 @@ def run(config: RunConfig) -> int:
         (out / "step_program.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
 
-    if config.command == "simulate":
-        if config.x0 is None or config.partition is None:
-            raise CliError("simulate requires --x0 and --partition")
+    if args.command == "simulate":
         traj, report = run_closed_loop(
-            sys_def, config.x0, config.partition, config.horizon,
-            xi_cap=config.xi, tol=config.tol, n_max=config.n_max,
-            tau_zero=config.tau_zero)
+            sys_def, args.x0, args.partition, args.horizon,
+            xi_cap=args.xi, tol=args.tol, n_max=args.nmax)
         write_trajectory_csv(out / "trajectory.csv", traj, sys_def.dim)
         (out / "report.json").write_text(
             json.dumps(_report_to_json(report), indent=2) + "\n", encoding="utf-8")
@@ -446,11 +389,8 @@ def run(config: RunConfig) -> int:
             return 2
         return 0
 
-    if config.command == "diagnose-m":
-        if config.at is None:
-            raise CliError("diagnose-m requires --at")
-        md = m_derivative_estimates(sys_def, config.at, config.rho, config.u1,
-                                    config.order)
+    if args.command == "diagnose-m":
+        md = m_derivative_estimates(sys_def, args.at, args.rho, args.u1, args.order)
         lines = ["order,estimate,noise_bound,ill_conditioned"]
         for n, (v, noise, ill) in enumerate(
                 zip(md.values, md.noise, md.ill_conditioned), start=1):
@@ -460,24 +400,23 @@ def run(config: RunConfig) -> int:
         (out / "m_derivatives.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
 
-    if config.command == "cbh-check":
-        if config.at is None:
-            raise CliError("cbh-check requires --at")
-        ts = config.t_values or (1e-2,)
+    if args.command == "cbh-check":
         lines = ["t,k,residual"]
         residuals = []
-        for t in ts:
-            r = cbh_residual(sys_def, config.at, config.rho, config.u1, config.k, t)
+        for t in args.t:
+            r = cbh_residual(sys_def, args.at, args.rho, args.u1, args.k, t)
             residuals.append(r)
             print(f"t = {_fmt(t)}: residual = {_fmt(r)}")
-            lines.append(f"{_fmt(t)},{config.k},{_fmt(r)}")
-        if len(ts) >= 2:
-            slope = np.polyfit(np.log(ts), np.log(residuals), 1)[0]
-            print(f"log-log slope = {_fmt(slope)}")
+            lines.append(f"{_fmt(t)},{args.k},{_fmt(r)}")
+        # the slope needs logarithms: fit it over positive times and residuals
+        pairs = [(t, r) for t, r in zip(args.t, residuals) if t > 0 and r > 0]
+        if len(pairs) >= 2:
+            ts, rs = zip(*pairs)
+            print(f"log-log slope = {_fmt(np.polyfit(np.log(ts), np.log(rs), 1)[0])}")
         (out / "cbh_residuals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
 
-    raise CliError(f"unknown command {config.command!r}")
+    raise CliError(f"unknown command {args.command!r}")
 
 
 def _make_parser() -> _Parser:
@@ -493,40 +432,43 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="classify a single state")
     common(p)
-    p.add_argument("--at", required=True, help="state as comma-separated floats")
+    p.add_argument("--at", required=True, type=_parse_point,
+                   help="state as comma-separated floats")
 
     p = sub.add_parser("certify-grid", help="classify every point of a grid")
     common(p)
-    p.add_argument("--box", required=True, help="lo1:hi1,lo2:hi2,...")
-    p.add_argument("--res", required=True, help="points per axis, k1,k2,...")
+    p.add_argument("--box", required=True, type=_parse_box, help="lo1:hi1,lo2:hi2,...")
+    p.add_argument("--res", required=True, type=_parse_resolution,
+                   help="points per axis, k1,k2,...")
 
     p = sub.add_parser("step", help="synthesize one verified program")
     common(p)
-    p.add_argument("--at", required=True)
-    p.add_argument("--xi", type=float, default=None, help="max step duration")
+    p.add_argument("--at", required=True, type=_parse_point)
+    p.add_argument("--xi", type=float, default=0.5, help="max step duration")
 
     p = sub.add_parser("simulate", help="run the sampled-data closed loop")
     common(p)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--partition", required=True,
+    p.add_argument("--x0", required=True, type=_parse_point)
+    p.add_argument("--partition", required=True, type=_parse_partition,
                    help="uniform:STEP or explicit:t1,t2,...[+STEP]")
     p.add_argument("--horizon", type=float, default=50.0)
     p.add_argument("--xi", type=float, default=None)
 
     p = sub.add_parser("diagnose-m", help="derivative estimates of m at 0")
     common(p)
-    p.add_argument("--at", required=True)
+    p.add_argument("--at", required=True, type=_parse_point)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--u1", type=float, default=1.0)
     p.add_argument("--order", type=int, default=2)
 
     p = sub.add_parser("cbh-check", help="truncated bracket-series residual")
     common(p)
-    p.add_argument("--at", required=True)
+    p.add_argument("--at", required=True, type=_parse_point)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--u1", type=float, default=1.0)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--t", default=None, help="comma-separated times")
+    p.add_argument("--t", type=_parse_times, default=(1e-2,),
+                   help="comma-separated times")
 
     return parser
 
@@ -534,9 +476,7 @@ def _make_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _build_config(args)
-        return run(config)
+        return run(parser.parse_args(argv))
     except CliError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
@@ -546,7 +486,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ExprError, IntegrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

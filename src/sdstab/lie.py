@@ -59,9 +59,6 @@ class ScalarField:
     def compiled(self):
         return compile_expr(self.body)
 
-    def gradient(self) -> tuple[Expr, ...]:
-        return tuple(differentiate(self.body, i) for i in range(1, self.dim + 1))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -227,8 +224,7 @@ def lie_words(order: int) -> tuple[LieWord, ...]:
     return tuple(out)
 
 
-def enumerate_monomial_products(
-        total_order: int, n_max: int = 4) -> tuple[tuple[LieWord, ...], ...]:
+def enumerate_monomial_products(total_order: int) -> tuple[tuple[LieWord, ...], ...]:
     """Ordered tuples (D_1, ..., D_k), k >= 1, of bracket words excluding
     the bare 'g' leaf, with total order at most ``total_order``.
 
@@ -238,9 +234,6 @@ def enumerate_monomial_products(
     """
     if total_order < 1:
         raise ValueError(f"total order must be >= 1, got {total_order}")
-    if total_order > n_max:
-        raise ValueError(
-            f"total order {total_order} exceeds configured maximum {n_max}")
     words_by_order = {
         m: tuple(w for w in lie_words(m) if w != WORD_G)
         for m in range(1, total_order + 1)

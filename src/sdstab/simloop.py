@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rk import IntegrationError, integrate_segment, fixed_steps
-from .certify import DEFAULT_N_MAX, DEFAULT_TAU_ZERO, SystemDef
+from .certify import DEFAULT_N_MAX, DEFAULT_TAU_ZERO, SystemDef, _check_n_max
 from .synth import (
     CertificateInconclusive, ControlProgram, SearchBudget, StepResult,
     SynthesisFailed, synthesize_step,
@@ -188,10 +188,7 @@ def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
             states.append(y)
         t_base += duration
         events.append(t_base)
-    times = np.array(times)
-    states = np.vstack(states)
-    v_values = np.array([sys.v_at(y) for y in states])
-    return Trajectory(times, states, v_values, [], events[:-1], v_sup)
+    return _assemble(sys, times, states, [], events[:-1], v_sup)
 
 
 def _interior_grid(duration: float, sample_dt: float) -> list[float]:
@@ -290,6 +287,7 @@ def run_closed_loop(
     """Execute the sampled-data loop: measure at each partition time, apply
     the planned open-loop schedule until the next one, stop early once the
     state enters the stop radius."""
+    _check_n_max(n_max)  # also when the start is already inside the stop radius
     x = np.asarray(x0, dtype=float)
     v0 = sys.v_value(x)
     times = [0.0]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from sdstab.certify import Case, SystemDef, certify_grid, certify_point
-from sdstab.lie import ScalarField, VectorField
+from sdstab.certify import Case, N_MAX_LIMIT, SystemDef, certify_grid, certify_point
+from sdstab.lie import (
+    ScalarField, VectorField, directional_derivative, iterated_adjoint,
+    power_derivative,
+)
 
 
 HAND_CASES = [
@@ -57,6 +60,14 @@ def test_non_finite_point_or_value_rejected(dblint, point):
         certify_point(dblint, point)
 
 
+@pytest.mark.parametrize("n_max", [N_MAX_LIMIT + 1, -1])
+def test_n_max_outside_range_rejected(dblint, n_max):
+    with pytest.raises(ValueError, match="n_max must be between 0 and 6"):
+        certify_point(dblint, (1.0, 0.0), n_max=n_max)
+    with pytest.raises(ValueError, match="n_max"):
+        certify_grid(dblint, [(0.0, 0.0), (0.0, 0.0)], [1, 1], n_max=n_max)
+
+
 def test_inconclusive_is_reported_not_raised(inert_system):
     cert = certify_point(inert_system, (1.0, 0.0))
     assert cert.case is Case.INCONCLUSIVE
@@ -89,15 +100,24 @@ def test_determinism(systems):
         assert a == b
 
 
-def test_witness_consistency(systems, planar_cubic):
-    from sdstab.certify import adjoint_g_of_f_value, drift_power_value, gv_value
-    cert = certify_point(planar_cubic, (1.0, 0.0))
-    x = np.array([1.0, 0.0])
-    assert cert.witnesses["gV"] == pytest.approx(gv_value(planar_cubic, x), abs=1e-12)
-    assert cert.witnesses["f^2V"] == pytest.approx(
-        drift_power_value(planar_cubic, 2, x), abs=1e-12)
-    assert cert.witnesses["ad_g^2(f)V"] == pytest.approx(
-        adjoint_g_of_f_value(planar_cubic, 2, x), abs=1e-12)
+def test_witness_consistency(planar_cubic, rotation3):
+    """Each witness equals the same quantity built from the public field
+    calculus and evaluated by walking its expression tree."""
+    x = (1.0, 0.0)
+    f, g, V = planar_cubic.f, planar_cubic.g, planar_cubic.V
+    cert = certify_point(planar_cubic, x)
+    assert cert.case is Case.P3
+    assert cert.witnesses["gV"] == directional_derivative(g, V).evaluate(x)
+    assert cert.witnesses["f^2V"] == power_derivative(f, V, 2).evaluate(x)
+    assert cert.witnesses["ad_g^2(f)V"] == directional_derivative(
+        iterated_adjoint(f, g, 2), V).evaluate(x)
+
+    x = (1.0, 0.0, 0.0)
+    f, g, V = rotation3.f, rotation3.g, rotation3.V
+    cert = certify_point(rotation3, x)
+    assert cert.case is Case.P4
+    assert cert.witnesses["ad_f^2(g)V"] == directional_derivative(
+        iterated_adjoint(g, f, 2), V).evaluate(x)
 
 
 def test_classic_condition_reduction(dblint, rotation3):

@@ -16,8 +16,8 @@ from sdstab.cli import (
 def test_load_double_integrator(systems_dir):
     sysd = load_system(systems_dir / "dblint.sys")
     assert sysd.dim == 2
-    np.testing.assert_allclose(sysd.f_at(np.array([0.5, -2.0])), [-2.0, 0.0])
-    np.testing.assert_allclose(sysd.g_at(np.array([0.5, -2.0])), [0.0, 1.0])
+    np.testing.assert_allclose(sysd.f.evaluate([0.5, -2.0]), [-2.0, 0.0])
+    np.testing.assert_allclose(sysd.g.evaluate([0.5, -2.0]), [0.0, 1.0])
 
 
 def test_load_rotation_with_parameters(systems_dir):
@@ -25,7 +25,7 @@ def test_load_rotation_with_parameters(systems_dir):
     assert sysd.dim == 3
     p = np.array([0.3, -0.9, 0.2])
     np.testing.assert_allclose(
-        sysd.f_at(p), [p[1] * (1 + p[2]), -p[0], 0.0], atol=1e-14)
+        sysd.f.evaluate(p), [p[1] * (1 + p[2]), -p[0], 0.0], atol=1e-14)
 
 
 def test_dimension_mismatch_rejected(tmp_path):
@@ -54,7 +54,7 @@ def test_parameter_substitution():
     sf = parse_system_file(
         'dim = 1\nrate = "2+x1"\nf = ["-x1*rate"]\ng = ["1"]\nV = "0.5*x1^2"\n')
     sysd = sf.build()
-    assert sysd.f_at(np.array([0.5]))[0] == pytest.approx(-0.5 * 2.5)
+    assert sysd.f.evaluate([0.5])[0] == pytest.approx(-0.5 * 2.5)
 
 
 def test_reserved_parameter_names_rejected():
@@ -171,24 +171,39 @@ def test_usage_errors_exit_one(systems_dir, tmp_path):
                  "--at", "one,zero", "--out", str(tmp_path)]) == 1
 
 
+def _run_module(argv, systems_dir, out):
+    """`python -m sdstab` in a separate process, so that a hang fails the
+    test instead of the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "sdstab", *argv, *_sys_arg(systems_dir, "dblint.sys"),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--x0", "inf,0", "--partition", "uniform:0.5", "--horizon", "5"],
     ["simulate", "--x0", "1e200,0", "--partition", "uniform:0.5", "--horizon", "5"],
     ["certify", "--at", "nan,0"],
     ["step", "--at", "nan,0"],
     ["step", "--at", "1e200,0"],
+    ["certify-grid", "--box=-inf:1,-1:1", "--res", "3,3"],
+    ["certify", "--at", "1,0", "--nmax", "7"],
 ])
 def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
-    # a separate process, so that a hang fails the test instead of the suite
-    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from sdstab.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv, *_sys_arg(systems_dir, "dblint.sys"),
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60)
+    done = _run_module(argv, systems_dir, tmp_path)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
-    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
+def test_cbh_check_with_zero_time(systems_dir, tmp_path):
+    # t = 0 has no logarithm: the slope is fitted over the positive times
+    done = _run_module(["cbh-check", "--at", "1,0", "--k", "2", "--t", "0,0.01,0.1"],
+                       systems_dir, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "log-log slope" in done.stdout
 
 
 def test_explicit_partition_flag(systems_dir, tmp_path):

@@ -222,11 +222,6 @@ def test_enumerate_order_three_contents():
     assert all(WORD_G not in words for words in got)
 
 
-def test_enumerate_rejects_beyond_maximum():
-    with pytest.raises(ValueError, match="maximum"):
-        enumerate_monomial_products(5, n_max=4)
-
-
 def test_words_skip_structural_zeros():
     assert all(w.left != w.right for w in lie_words(2))
     assert len(lie_words(2)) == 2

@@ -162,6 +162,11 @@ def test_closed_loop_rejects_non_finite_start(dblint, x0):
         run_closed_loop(dblint, x0, Partition.uniform(0.5), 5.0)
 
 
+def test_closed_loop_rejects_n_max_beyond_limit_inside_stop_radius(dblint):
+    with pytest.raises(ValueError, match="n_max"):
+        run_closed_loop(dblint, (1e-4, 0.0), Partition.uniform(0.5), 1.0, n_max=7)
+
+
 def test_threshold_times_stop_on_infinite_v():
     traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)),
                       np.array([np.inf, 1.0]), [], [])
