@@ -12,10 +12,12 @@ Any other ``name = value`` line defines a named parameter that is
 substituted textually (wrapped in parentheses) into the f/g/V strings
 before parsing.
 
-Points, boxes, resolutions, partitions and times are converted while the
-arguments are parsed, so a malformed or non-finite value is reported
-before the system is loaded; ``--nmax`` must lie in [0, 6]. Run it as
-``sdstab`` or ``python -m sdstab``.
+Points, boxes, resolutions, partitions, horizons and times are converted
+while the arguments are parsed, so a malformed or non-finite value is
+reported before the system is loaded; ``--nmax`` must lie in [0, 6].
+Each subcommand offers only the options it reads: ``--nmax`` belongs to
+certify, certify-grid, step and simulate, ``--tol`` to step and simulate.
+Run it as ``sdstab`` or ``python -m sdstab``.
 
 Exit codes: 0 on success, 2 when certification is inconclusive or
 synthesis fails, 1 on any error.
@@ -303,6 +305,16 @@ def _parse_resolution(text: str) -> list[int]:
         raise CliError(f"cannot parse resolution {text!r}") from None
 
 
+def _parse_horizon(text: str) -> float:
+    try:
+        horizon = float(text)
+    except ValueError:
+        raise CliError(f"cannot parse horizon {text!r}") from None
+    if not math.isfinite(horizon):
+        raise CliError(f"horizon {text!r} is not finite")
+    return horizon
+
+
 def _parse_times(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -424,10 +436,12 @@ def _make_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, nmax=True, tol=False):
         p.add_argument("--system", required=True, help="system definition file")
-        p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
-        p.add_argument("--tol", type=float, default=1e-10)
+        if nmax:
+            p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("certify", help="classify a single state")
@@ -442,27 +456,27 @@ def _make_parser() -> _Parser:
                    help="points per axis, k1,k2,...")
 
     p = sub.add_parser("step", help="synthesize one verified program")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--at", required=True, type=_parse_point)
     p.add_argument("--xi", type=float, default=0.5, help="max step duration")
 
     p = sub.add_parser("simulate", help="run the sampled-data closed loop")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--x0", required=True, type=_parse_point)
     p.add_argument("--partition", required=True, type=_parse_partition,
                    help="uniform:STEP or explicit:t1,t2,...[+STEP]")
-    p.add_argument("--horizon", type=float, default=50.0)
+    p.add_argument("--horizon", type=_parse_horizon, default=50.0)
     p.add_argument("--xi", type=float, default=None)
 
     p = sub.add_parser("diagnose-m", help="derivative estimates of m at 0")
-    common(p)
+    common(p, nmax=False)
     p.add_argument("--at", required=True, type=_parse_point)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--u1", type=float, default=1.0)
     p.add_argument("--order", type=int, default=2)
 
     p = sub.add_parser("cbh-check", help="truncated bracket-series residual")
-    common(p)
+    common(p, nmax=False)
     p.add_argument("--at", required=True, type=_parse_point)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--u1", type=float, default=1.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -59,6 +59,11 @@ class ScalarField:
     def compiled(self):
         return compile_expr(self.body)
 
+    @cached_property
+    def gradient(self) -> tuple[Expr, ...]:
+        """(dV/dx_1, ..., dV/dx_n), differentiated once per field."""
+        return tuple(differentiate(self.body, i) for i in range(1, self.dim + 1))
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -92,6 +97,12 @@ class VectorField:
         fns = [compile_expr(c) for c in self.components]
         return lambda x: [fn(x) for fn in fns]
 
+    @cached_property
+    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """Rows (dX_k/dx_1, ..., dX_k/dx_n), differentiated once per field."""
+        return tuple(tuple(differentiate(c, i) for i in range(1, self.dim + 1))
+                     for c in self.components)
+
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_dims(self, other)
         comps = tuple(simplify(_add(a, b))
@@ -113,8 +124,8 @@ def directional_derivative(X: VectorField, V: ScalarField) -> ScalarField:
     """(DV)X = sum_i X_i dV/dx_i, simplified."""
     _check_dims(X, V)
     body = None
-    for i, comp in enumerate(X.components, start=1):
-        term = _mul(comp, differentiate(V.body, i))
+    for comp, partial in zip(X.components, V.gradient):
+        term = _mul(comp, partial)
         body = term if body is None else _add(body, term)
     return ScalarField(simplify(body), V.dim)
 
@@ -123,13 +134,14 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X,Y] = (DY)X - (DX)Y, componentwise and simplified."""
     _check_dims(X, Y)
     n = X.dim
+    dX, dY = X.jacobian, Y.jacobian
     comps = []
     for k in range(n):
         forward = None
         backward = None
-        for i in range(1, n + 1):
-            f_term = _mul(X.components[i - 1], differentiate(Y.components[k], i))
-            b_term = _mul(Y.components[i - 1], differentiate(X.components[k], i))
+        for i in range(n):
+            f_term = _mul(X.components[i], dY[k][i])
+            b_term = _mul(Y.components[i], dX[k][i])
             forward = f_term if forward is None else _add(forward, f_term)
             backward = b_term if backward is None else _add(backward, b_term)
         comps.append(simplify(forward - backward))
@@ -164,7 +176,9 @@ class LieWord:
     """Binary bracket word over the two generator leaves 'f' and 'g'.
 
     A leaf is the generator itself; an internal node is the bracket of its
-    children. The order is the leaf count.
+    children. The order is the leaf count. Words are dictionary keys of
+    the certification caches, so the order and the hash are computed once
+    per word instead of by recursion on every lookup.
     """
 
     leaf: str | None = None
@@ -178,11 +192,18 @@ class LieWord:
         elif self.left is None or self.right is None:
             raise ValueError("bracket word needs two children")
 
-    @property
+    @cached_property
     def order(self) -> int:
         if self.leaf is not None:
             return 1
         return self.left.order + self.right.order
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.leaf, self.left, self.right))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def realize(self, f: VectorField, g: VectorField) -> VectorField:
         if self.leaf is not None:

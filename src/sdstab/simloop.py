@@ -45,6 +45,12 @@ _MAX_CHAIN_PROGRAMS = 4096
 _LANDING_RTOL = 1e-9
 
 
+def _check_horizon(horizon: float) -> None:
+    # an infinite horizon would make the partition's time list endless
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Sampling times T1 = 0 < T2 < ...; explicit leading times followed by
@@ -81,8 +87,7 @@ class Partition:
 
     def times_until(self, horizon: float) -> list[float]:
         """Strictly increasing times from 0 through the first one >= horizon."""
-        if not horizon > 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        _check_horizon(horizon)
         out = []
         for t in self.lead_times:
             if t >= horizon:
@@ -287,7 +292,9 @@ def run_closed_loop(
     """Execute the sampled-data loop: measure at each partition time, apply
     the planned open-loop schedule until the next one, stop early once the
     state enters the stop radius."""
-    _check_n_max(n_max)  # also when the start is already inside the stop radius
+    # also when the start is already inside the stop radius
+    _check_n_max(n_max)
+    _check_horizon(horizon)
     x = np.asarray(x0, dtype=float)
     v0 = sys.v_value(x)
     times = [0.0]

@@ -9,6 +9,22 @@ from sdstab.symcalc import Const, Var, Mul
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
 
+# the first deep-linear system of the certify-deep benchmark workload at seed
+# 0: f and g rotate at constant rates that leave V constant, so every Lie
+# derivative of V vanishes and certification goes through every bracket
+# monomial up to n_max
+DEEP_LINEAR_TEXT = """\
+dim = 3
+w1 = "0.5"
+w2 = "1.25"
+w3 = "1.75"
+pa = "-0.3"
+qb = "-0.7"
+f = ["pa*w2*x2", "-pa*w1*x1", "0"]
+g = ["qb*w3*x3", "0", "-qb*w1*x1"]
+V = "0.5*(w1*x1^2+w2*x2^2+w3*x3^2)"
+"""
+
 
 @pytest.fixture(scope="session")
 def systems_dir():

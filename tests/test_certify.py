@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from sdstab.certify import Case, N_MAX_LIMIT, SystemDef, certify_grid, certify_point
+from conftest import DEEP_LINEAR_TEXT, SYSTEMS_DIR
+from sdstab import certify, lie
+from sdstab.certify import (
+    Case, N_MAX_LIMIT, SystemDef, _monomial_scalar, _word_field, certify_grid,
+    certify_point, monomial_value,
+)
+from sdstab.cli import parse_system_file
 from sdstab.lie import (
-    ScalarField, VectorField, directional_derivative, iterated_adjoint,
-    power_derivative,
+    LieWord, ScalarField, VectorField, directional_derivative, iterated_adjoint,
+    lie_words, power_derivative,
 )
 
 
@@ -204,3 +212,78 @@ def test_system_rejects_nonpositive_v():
             VectorField.from_strings(["0", "1"], 2),
             ScalarField.from_string("0.5*(x1^2-x2^2)", 2),
         )
+
+
+# --- shared symbolic work --------------------------------------------------------
+
+SYSTEM_TEXTS = {name: (SYSTEMS_DIR / f"{name}.sys").read_text(encoding="utf-8")
+                for name in ("dblint", "planar_cubic", "rotation3")}
+SYSTEM_TEXTS["deep-linear"] = DEEP_LINEAR_TEXT
+WORDS_UP_TO_4 = [w for m in range(1, 5) for w in lie_words(m)]
+
+
+@st.composite
+def word_tuples(draw, max_order=4):
+    """A tuple of bracket words, the bare g included, of total order at
+    most ``max_order``."""
+    words, left = [], max_order
+    while left and (not words or draw(st.booleans())):
+        w = draw(st.sampled_from([w for w in WORDS_UP_TO_4 if w.order <= left]))
+        words.append(w)
+        left -= w.order
+    return tuple(words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SYSTEM_TEXTS)),
+       batch=st.lists(word_tuples(), min_size=1, max_size=6))
+def test_shared_suffixes_match_uncached_chains(name, batch):
+    """Monomials evaluated in random order on one system, so that suffixes
+    and word fields are cached along different paths, equal the chain of
+    directional derivatives built from V on a fresh system."""
+    cached = parse_system_file(SYSTEM_TEXTS[name]).build()
+    x = [0.7, -0.4, 0.9][:cached.dim]
+    for words in batch:
+        fresh = parse_system_file(SYSTEM_TEXTS[name]).build()
+        scalar = fresh.V
+        for w in reversed(words):
+            scalar = directional_derivative(w.realize(fresh.f, fresh.g), scalar)
+        assert _monomial_scalar(cached, words) == scalar
+        assert monomial_value(cached, words, x) == float(scalar.compiled()(x))
+        for w in words:
+            assert _word_field(cached, w) == w.realize(fresh.f, fresh.g)
+
+
+def test_certification_builds_each_derivative_once(monkeypatch):
+    """On the deep-linear system a point at n_max 5 goes through every
+    bracket monomial: each one is built once from the scalar of its suffix,
+    and each gradient and Jacobian is differentiated once."""
+    sysd = parse_system_file(DEEP_LINEAR_TEXT).build()
+    calls = {"directional_derivative": 0, "differentiate": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(certify, "directional_derivative")
+    counting(lie, "differentiate")
+    cert = certify_point(sysd, (0.6, -0.8, 0.5), n_max=5)
+    assert cert.case is Case.INCONCLUSIVE
+    # the 391 monomials of order <= 5 and gV, f^6V, ad_g^5(f)V, ad_f^5(g)V
+    assert calls == {"directional_derivative": 395, "differentiate": 672}
+    scalars = [v for k, v in sysd._fns.items()
+               if isinstance(k, tuple) and k[0] == "scalar"]
+    fields = [v for k, v in sysd._fns.items() if isinstance(k, LieWord)]
+    assert len(scalars) == 395
+    gradients = sum("gradient" in vars(s) for s in [sysd.V, *scalars])
+    jacobians = sum("jacobian" in vars(f) for f in fields)
+    assert calls["differentiate"] == 3 * gradients + 9 * jacobians
+
+    calls.update(directional_derivative=0, differentiate=0)
+    again = certify_point(sysd, (-0.3, 0.2, 0.9), n_max=5)
+    assert again.case is Case.INCONCLUSIVE
+    assert calls == {"directional_derivative": 0, "differentiate": 0}

@@ -189,12 +189,26 @@ def _run_module(argv, systems_dir, out):
     ["step", "--at", "1e200,0"],
     ["certify-grid", "--box=-inf:1,-1:1", "--res", "3,3"],
     ["certify", "--at", "1,0", "--nmax", "7"],
+    ["simulate", "--x0", "1,0", "--partition", "uniform:0.5", "--horizon", "inf"],
 ])
 def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
     done = _run_module(argv, systems_dir, tmp_path)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--at", "1,0", "--tol", "0"],
+    ["certify-grid", "--box=-1:1,-1:1", "--res", "3,3", "--tol", "0"],
+    ["diagnose-m", "--at", "1,0", "--tol", "0"],
+    ["cbh-check", "--at", "1,0", "--tol", "0"],
+    ["diagnose-m", "--at", "1,0", "--nmax", "3"],
+    ["cbh-check", "--at", "1,0", "--nmax", "3"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(systems_dir, tmp_path, argv, capsys):
+    assert main([*argv, *_sys_arg(systems_dir, "dblint.sys"), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
 
 
 def test_cbh_check_with_zero_time(systems_dir, tmp_path):

@@ -7,6 +7,7 @@ from sdstab.lie import (
     directional_derivative, enumerate_monomial_products, iterated_adjoint,
     lie_bracket, lie_words, power_derivative,
 )
+from sdstab.symcalc import _add, _mul, differentiate, simplify
 
 
 def grid2(lo=-1.5, hi=1.5, k=4):
@@ -125,6 +126,48 @@ def test_leibniz_consistency():
         assert a == pytest.approx(b, abs=1e-9 * (1 + abs(a)))
 
 
+def _reference_derivative(X, V):
+    """(DV)X with each partial derivative of V taken inline."""
+    body = None
+    for i, comp in enumerate(X.components, start=1):
+        term = _mul(comp, differentiate(V.body, i))
+        body = term if body is None else _add(body, term)
+    return ScalarField(simplify(body), V.dim)
+
+
+def _reference_bracket(X, Y):
+    """[X,Y] with each Jacobian entry of X and Y taken inline."""
+    comps = []
+    for k in range(X.dim):
+        forward = backward = None
+        for i in range(1, X.dim + 1):
+            f_term = _mul(X.components[i - 1], differentiate(Y.components[k], i))
+            b_term = _mul(Y.components[i - 1], differentiate(X.components[k], i))
+            forward = f_term if forward is None else _add(forward, f_term)
+            backward = b_term if backward is None else _add(backward, b_term)
+        comps.append(simplify(forward - backward))
+    return VectorField(tuple(comps), X.dim)
+
+
+def test_kept_partials_build_the_reference_trees():
+    """Fields keep their Jacobians and gradients; the trees built from
+    them equal those built with inline partial derivatives."""
+    rng = np.random.default_rng(23)
+    for dim in (2, 3):
+        for _ in range(10):
+            X = random_poly_field(rng, dim)
+            Y = random_poly_field(rng, dim)
+            V = ScalarField(random_poly_expr(rng, dim), dim)
+            XY = lie_bracket(X, Y)
+            assert XY == _reference_bracket(X, Y)
+            # X and V are reused below, now with their partials kept
+            assert lie_bracket(XY, X) == _reference_bracket(XY, X)
+            XV = directional_derivative(X, V)
+            assert XV == _reference_derivative(X, V)
+            assert directional_derivative(XY, V) == _reference_derivative(XY, V)
+            assert directional_derivative(Y, XV) == _reference_derivative(Y, XV)
+
+
 # --- iterated adjoints ----------------------------------------------------------------
 
 def test_adjoint_depth_one_is_bracket(dblint):
@@ -197,6 +240,11 @@ def test_word_orders():
     assert w.order == 3
     assert WORD_F.order == 1
     assert w.label() == "[[f,g],g]"
+    # a word built again is the same dictionary key
+    twin = bracket_word(bracket_word(WORD_F, WORD_G), WORD_G)
+    assert twin is not w and twin == w and hash(twin) == hash(w)
+    assert {w: 1}[twin] == 1
+    assert twin != bracket_word(bracket_word(WORD_G, WORD_F), WORD_G)
 
 
 def test_enumerate_order_one():

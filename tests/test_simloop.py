@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,16 @@ def test_partition_validation():
         Partition.explicit([0.0, 0.5, 0.4])
     with pytest.raises(ValueError):
         Partition.uniform(0.5).times_until(0.0)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_rejected(dblint, horizon):
+    # an infinite horizon used to make times_until append times forever
+    with pytest.raises(ValueError, match="finite"):
+        Partition.uniform(0.5).times_until(horizon)
+    for x0 in ([1.0, 0.0], [1e-4, 0.0]):  # outside and inside the stop radius
+        with pytest.raises(ValueError, match="finite"):
+            run_closed_loop(dblint, x0, Partition.uniform(0.5), horizon)
 
 
 # --- open-loop integration ----------------------------------------------------------
