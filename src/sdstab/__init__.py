@@ -18,8 +18,8 @@ from .certify import (
     Case, Certificate, GridEntry, SystemDef, certify_grid, certify_point,
 )
 from .synth import (
-    CertificateInconclusive, ControlProgram, MDerivatives, SearchBudget,
-    StepResult, SynthesisFailed, cbh_residual, composed_flow, flow_endpoint,
+    CertificateInconclusive, ControlProgram, MDerivatives, StepResult,
+    SynthesisFailed, cbh_residual, composed_flow, flow_endpoint,
     m_derivative_estimates, m_of_t, synthesize_step, two_phase_program,
 )
 from .simloop import (

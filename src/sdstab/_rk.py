@@ -42,6 +42,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+# a state component beyond this magnitude ends the integration
+_DIVERGENCE_BOUND = 1e6
 
 
 def _stages(rhs: Rhs, y: list[float], h: float, k1: Sequence[float]):
@@ -76,7 +78,6 @@ def integrate_segment(
         y0: Sequence[float],
         duration: float,
         tol: float,
-        divergence_bound: float = 1e6,
         sample_times: Sequence[float] | None = None,
         h_max: float | None = None,
         on_step: Callable[[float, list[float]], None] | None = None,
@@ -89,11 +90,12 @@ def integrate_segment(
     endpoints, every y an ``np.ndarray``. ``on_step(t, y)`` is invoked at
     the start and at every accepted step, for callers that track extrema,
     with y a list of floats that the kernel does not modify afterwards.
+    Raises IntegrationError once a component exceeds 1e6 in magnitude.
     """
     if duration < 0:
         raise ValueError(f"segment duration must be >= 0, got {duration}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     y = np.asarray(y0, dtype=float).tolist()
     if duration == 0.0:
         return [(0.0, np.array(y)), (0.0, np.array(y))], np.array(y)
@@ -142,9 +144,9 @@ def integrate_segment(
             k1 = k_last
             if on_step is not None:
                 on_step(t, y)
-            if max(map(abs, y)) > divergence_bound:
+            if max(map(abs, y)) > _DIVERGENCE_BOUND:
                 raise IntegrationError(
-                    f"state norm exceeded divergence bound {divergence_bound} at t = {t}")
+                    f"state norm exceeded divergence bound {_DIVERGENCE_BOUND} at t = {t}")
             if t >= target:
                 samples.append((target, np.array(y)))
                 t = target

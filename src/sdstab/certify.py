@@ -290,10 +290,9 @@ def certify_grid(
         sys: SystemDef,
         box: Sequence[tuple[float, float]],
         resolution: Sequence[int],
-        n_max: int = DEFAULT_N_MAX,
-        tau_zero: float = DEFAULT_TAU_ZERO) -> list[GridEntry]:
+        n_max: int = DEFAULT_N_MAX) -> list[GridEntry]:
     """Certify every grid point of an axis-aligned box; points inside the
-    tau_zero ball around the origin are skipped and flagged."""
+    DEFAULT_TAU_ZERO ball around the origin are skipped and flagged."""
     if len(box) != sys.dim or len(resolution) != sys.dim:
         raise ValueError(
             f"box/resolution must have {sys.dim} axes, "
@@ -305,9 +304,9 @@ def certify_grid(
     entries = []
     for coords in itertools.product(*axes):
         x = np.array(coords)
-        if float(np.linalg.norm(x)) <= tau_zero:
+        if float(np.linalg.norm(x)) <= DEFAULT_TAU_ZERO:
             entries.append(GridEntry(tuple(float(c) for c in coords), True, None))
             continue
-        cert = certify_point(sys, x, n_max=n_max, tau_zero=tau_zero)
+        cert = certify_point(sys, x, n_max=n_max)
         entries.append(GridEntry(tuple(float(c) for c in coords), False, cert))
     return entries

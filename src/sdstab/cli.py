@@ -12,7 +12,8 @@ Any other ``name = value`` line defines a named parameter that is
 substituted textually (wrapped in parentheses) into the f/g/V strings
 before parsing.
 
-Points, boxes, resolutions, partitions, horizons and times are converted
+Points, boxes, resolutions, partitions, times and the float options
+(``--horizon``, ``--xi``, ``--tol``, ``--rho``, ``--u1``) are converted
 while the arguments are parsed, so a malformed or non-finite value is
 reported before the system is loaded; ``--nmax`` must lie in [0, 6].
 Each subcommand offers only the options it reads: ``--nmax`` belongs to
@@ -168,6 +169,8 @@ def load_system(path: str | Path) -> SystemDef:
         return parse_system_file(text, str(path)).build()
     except (ExprError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except OverflowError as exc:
+        raise CliError(f"{path}: a constant is beyond float range ({exc})") from exc
 
 
 # --- CSV and plot output ------------------------------------------------------------
@@ -305,14 +308,17 @@ def _parse_resolution(text: str) -> list[int]:
         raise CliError(f"cannot parse resolution {text!r}") from None
 
 
-def _parse_horizon(text: str) -> float:
-    try:
-        horizon = float(text)
-    except ValueError:
-        raise CliError(f"cannot parse horizon {text!r}") from None
-    if not math.isfinite(horizon):
-        raise CliError(f"horizon {text!r} is not finite")
-    return horizon
+def _finite_float(what: str):
+    """Converter of a float option that must be finite."""
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise CliError(f"cannot parse {what} {text!r}") from None
+        if not math.isfinite(value):
+            raise CliError(f"{what} {text!r} is not finite")
+        return value
+    return convert
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -441,7 +447,7 @@ def _make_parser() -> _Parser:
         if nmax:
             p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=_finite_float("tolerance"), default=1e-10)
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("certify", help="classify a single state")
@@ -458,28 +464,29 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("step", help="synthesize one verified program")
     common(p, tol=True)
     p.add_argument("--at", required=True, type=_parse_point)
-    p.add_argument("--xi", type=float, default=0.5, help="max step duration")
+    p.add_argument("--xi", type=_finite_float("duration"), default=0.5,
+                   help="max step duration")
 
     p = sub.add_parser("simulate", help="run the sampled-data closed loop")
     common(p, tol=True)
     p.add_argument("--x0", required=True, type=_parse_point)
     p.add_argument("--partition", required=True, type=_parse_partition,
                    help="uniform:STEP or explicit:t1,t2,...[+STEP]")
-    p.add_argument("--horizon", type=_parse_horizon, default=50.0)
-    p.add_argument("--xi", type=float, default=None)
+    p.add_argument("--horizon", type=_finite_float("horizon"), default=50.0)
+    p.add_argument("--xi", type=_finite_float("duration"), default=1.0)
 
     p = sub.add_parser("diagnose-m", help="derivative estimates of m at 0")
     common(p, nmax=False)
     p.add_argument("--at", required=True, type=_parse_point)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--u1", type=float, default=1.0)
+    p.add_argument("--rho", type=_finite_float("rho"), default=1.0)
+    p.add_argument("--u1", type=_finite_float("u1"), default=1.0)
     p.add_argument("--order", type=int, default=2)
 
     p = sub.add_parser("cbh-check", help="truncated bracket-series residual")
     common(p, nmax=False)
     p.add_argument("--at", required=True, type=_parse_point)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--u1", type=float, default=1.0)
+    p.add_argument("--rho", type=_finite_float("rho"), default=1.0)
+    p.add_argument("--u1", type=_finite_float("u1"), default=1.0)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--t", type=_parse_times, default=(1e-2,),
                    help="comma-separated times")

@@ -13,11 +13,14 @@ Each chained program is synthesized with its duration capped by the time
 remaining in the interval; since the candidate durations start at that
 cap and halve, chains normally land exactly on T_{i+1}. A chain that
 fails to land after many programs is truncated at T_{i+1} and the
-interval is flagged as clamped.
+interval is flagged as clamped. Synthesis searches fixed, finite grids
+(at most 4,840 simulations a step), so a step that no candidate achieves
+ends the run with a recorded failure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,10 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from ._rk import IntegrationError, integrate_segment, fixed_steps
-from .certify import DEFAULT_N_MAX, DEFAULT_TAU_ZERO, SystemDef, _check_n_max
+from .certify import DEFAULT_N_MAX, SystemDef, _check_n_max
 from .synth import (
-    CertificateInconclusive, ControlProgram, SearchBudget, StepResult,
-    SynthesisFailed, synthesize_step,
+    CertificateInconclusive, ControlProgram, StepResult, SynthesisFailed,
+    flow_endpoint, synthesize_step,
 )
 
 __all__ = [
@@ -38,7 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_STOP_RADIUS = 1e-3
-DEFAULT_DIVERGENCE_BOUND = 1e6
+# trajectory samples recorded per partition interval
+_SAMPLES_PER_INTERVAL = 100
 # near the origin the overshoot bound forces program durations of order |x|,
 # so interval chains legitimately hold many programs before the stop radius
 _MAX_CHAIN_PROGRAMS = 4096
@@ -88,18 +92,21 @@ class Partition:
     def times_until(self, horizon: float) -> list[float]:
         """Strictly increasing times from 0 through the first one >= horizon."""
         _check_horizon(horizon)
-        out = []
+        return list(self._times_through(horizon))
+
+    def _times_through(self, horizon: float):
+        """The times of times_until, generated one at a time, so that a run
+        that stops early holds none of those beyond its stop."""
         for t in self.lead_times:
+            yield t
             if t >= horizon:
-                out.append(t)
-                return out
-            out.append(t)
+                return
         k = 1
         while True:
             t = self.lead_times[-1] + k * self.step
-            out.append(t)
+            yield t
             if t >= horizon:
-                return out
+                return
             k += 1
 
 
@@ -161,8 +168,7 @@ class FactCheck:
 # --- program integration -------------------------------------------------------
 
 def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
-              sample_dt: float | None = None,
-              divergence_bound: float = DEFAULT_DIVERGENCE_BOUND) -> Trajectory:
+              sample_dt: float | None = None) -> Trajectory:
     """Integrate the program from x0, stepping exactly onto segment switch
     times, with dense output every sample_dt (default: duration/100)."""
     x = np.asarray(x0, dtype=float)
@@ -185,9 +191,7 @@ def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
     for value, duration in program.segments:
         interior = _interior_grid(duration, sample_dt)
         samples, x = integrate_segment(
-            sys.rhs(value), x, duration, tol,
-            divergence_bound=divergence_bound,
-            sample_times=interior, h_max=duration, on_step=track)
+            sys.rhs(value), x, duration, tol, sample_times=interior, on_step=track)
         for s, y in samples[1:]:
             times.append(t_base + s)
             states.append(y)
@@ -209,8 +213,6 @@ def _interior_grid(duration: float, sample_dt: float) -> list[float]:
 def plan_interval(
         sys: SystemDef, z, duration: float, xi_cap: float, *,
         tol: float = 1e-10, n_max: int = DEFAULT_N_MAX,
-        budget: SearchBudget | None = None,
-        tau_zero: float = DEFAULT_TAU_ZERO,
         stop_radius: float = DEFAULT_STOP_RADIUS) -> tuple[list[PlannedStep], bool]:
     """Chain one-step programs covering [0, duration] from the measured
     state z, advancing on model-predicted states only. Returns the planned
@@ -219,8 +221,6 @@ def plan_interval(
     Deterministic in its arguments: replaying it from the same measured
     state reproduces the same control schedule exactly.
     """
-    from .synth import flow_endpoint  # local import to keep module surface tidy
-
     steps: list[PlannedStep] = []
     state = np.asarray(z, dtype=float)
     remaining = duration
@@ -233,8 +233,7 @@ def plan_interval(
             # Zeno guard: synthesize once more without the remaining-time cap
             # and truncate the program at the interval end.
             result = synthesize_step(
-                sys, state, xi_cap, budget=budget, n_max=n_max, tol=tol,
-                tau_zero=tau_zero)
+                sys, state, min(xi_cap, duration), n_max=n_max, tol=tol)
             program = (result.program.truncated(remaining)
                        if result.program.duration > remaining else result.program)
             end, _ = flow_endpoint(sys, state, program, tol)
@@ -247,9 +246,7 @@ def plan_interval(
         xi_step = min(xi_cap, remaining)
         if last_eps is not None:
             xi_step = min(xi_step, max(2.0 * last_eps, remaining / 64.0))
-        result = synthesize_step(
-            sys, state, xi_step, budget=budget, n_max=n_max,
-            tol=tol, tau_zero=tau_zero)
+        result = synthesize_step(sys, state, xi_step, n_max=n_max, tol=tol)
         program = result.program
         eps = program.duration
         end = np.array(result.end_state)
@@ -283,15 +280,15 @@ def _planned(result: StepResult, program: ControlProgram, end: np.ndarray) -> Pl
 
 def run_closed_loop(
         sys: SystemDef, x0, partition: Partition, horizon: float,
-        xi_cap: float | None = None, *,
+        xi_cap: float = 1.0, *,
         stop_radius: float = DEFAULT_STOP_RADIUS,
-        tol: float = 1e-10, n_max: int = DEFAULT_N_MAX,
-        budget: SearchBudget | None = None,
-        tau_zero: float = DEFAULT_TAU_ZERO,
-        samples_per_interval: int = 100) -> tuple[Trajectory, LoopReport]:
+        tol: float = 1e-10, n_max: int = DEFAULT_N_MAX) -> tuple[Trajectory, LoopReport]:
     """Execute the sampled-data loop: measure at each partition time, apply
     the planned open-loop schedule until the next one, stop early once the
-    state enters the stop radius."""
+    state enters the stop radius. Programs are capped by the time remaining
+    in their interval, so ``xi_cap`` only bounds the longest step ever
+    attempted. The partition times are generated as the run reaches them,
+    so a huge horizon costs nothing beyond the stop."""
     # also when the start is already inside the stop radius
     _check_n_max(n_max)
     _check_horizon(horizon)
@@ -313,15 +310,8 @@ def run_closed_loop(
         report = _report(sys, traj, intervals, True, 0.0, None, overshoot)
         return traj, report
 
-    boundaries = partition.times_until(horizon)
-    if xi_cap is None:
-        # programs are capped by the time remaining in the interval anyway,
-        # so the global cap only bounds the largest step ever attempted
-        gaps = [b - a for a, b in zip(boundaries, boundaries[1:])]
-        xi_cap = min(1.0, max(gaps)) if gaps else 1.0
-
     t_cursor = 0.0
-    for t_a, t_b in zip(boundaries, boundaries[1:]):
+    for t_a, t_b in itertools.pairwise(partition._times_through(horizon)):
         t_b = min(t_b, horizon)
         if t_b <= t_a or stopped:
             break
@@ -329,7 +319,7 @@ def run_closed_loop(
         try:
             planned, clamped = plan_interval(
                 sys, measured, t_b - t_a, xi_cap, tol=tol, n_max=n_max,
-                budget=budget, tau_zero=tau_zero, stop_radius=stop_radius)
+                stop_radius=stop_radius)
         except (SynthesisFailed, CertificateInconclusive, IntegrationError) as exc:
             failure = f"interval [{t_a}, {t_b}): {exc}"
             intervals.append(IntervalRecord(
@@ -338,7 +328,7 @@ def run_closed_loop(
         record = IntervalRecord(
             t_a, t_b, tuple(float(v) for v in measured), planned, clamped)
         intervals.append(record)
-        sample_dt = (t_b - t_a) / samples_per_interval
+        sample_dt = (t_b - t_a) / _SAMPLES_PER_INTERVAL
         for idx, step in enumerate(planned):
             base_v = checkpoints[-1][2]
             piece = integrate(sys, x, step.program, tol=tol, sample_dt=sample_dt)

@@ -457,7 +457,9 @@ def _diff(e: Expr, i: int) -> Expr:
 
 # --- compilation ----------------------------------------------------------
 
-_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log}
+# inf and nan are how repr renders the non-finite constants
+_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
+              "inf": math.inf, "nan": math.nan}
 
 
 def _pycode(e: Expr) -> str:
@@ -495,7 +497,8 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     Python floats domain violations surface as ZeroDivisionError,
     ValueError or OverflowError from the runtime.
     """
-    return eval(f"lambda _x: {_pycode(e)}", dict(_NAMESPACE))
+    # one globals dict for every compiled tree: the functions only read it
+    return eval(f"lambda _x: {_pycode(e)}", _NAMESPACE)
 
 
 # --- parsing --------------------------------------------------------------

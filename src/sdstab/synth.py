@@ -10,9 +10,10 @@ of the truncated bracket expansion of Rdot) make the mechanism inspectable
 rather than a black box.
 
 Every existence claim ("a sufficiently large u1", "a suitable rho") is
-realized as a bounded deterministic grid search whose winner is verified
-by re-simulation; the derivative estimates are diagnostics only and take
-no part in the search.
+realized as a search over fixed, finite grids of inputs and durations
+(at most 4,840 candidates, for P4) whose winner is verified by
+re-simulation; the derivative estimates are diagnostics only and take no
+part in the search.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .certify import (
 from .lie import iterated_adjoint
 
 __all__ = [
-    "ControlProgram", "StepResult", "SearchBudget",
+    "ControlProgram", "StepResult",
     "SynthesisFailed", "CertificateInconclusive",
     "composed_flow", "m_of_t", "m_derivative_estimates", "MDerivatives",
     "cbh_residual", "synthesize_step", "flow_endpoint", "two_phase_program",
@@ -80,6 +81,8 @@ class ControlProgram:
 
 
 def two_phase_program(rho: float, u1: float, t: float) -> ControlProgram:
+    if not (math.isfinite(rho) and math.isfinite(u1)):
+        raise ValueError(f"rho and u1 must be finite, got {rho} and {u1}")
     u2 = -rho * u1 + 0.0  # +0.0 normalizes -0.0
     return ControlProgram(((u2, t), (u1, rho * t)))
 
@@ -93,21 +96,6 @@ class StepResult:
     v_drop: float
     sup_v_ratio: float
     end_state: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Deterministic search grids and the simulation budget of one step."""
-
-    max_simulations: int = 10_000
-    amplitudes: tuple[float, ...] = tuple(2.0 ** j for j in range(11))
-    rho_grid: tuple[float, ...] = (
-        1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 0.125, 16.0, 0.0625, 32.0, 0.03125)
-    small_inputs: tuple[float, ...] = tuple(2.0 ** -j for j in range(11))
-    duration_floor_factor: float = 1e-6
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 class SynthesisFailed(RuntimeError):
@@ -129,8 +117,8 @@ class CertificateInconclusive(RuntimeError):
 
 # --- simulation helpers -------------------------------------------------------
 
-def flow_endpoint(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
-                  divergence_bound: float = 1e6) -> tuple[np.ndarray, float]:
+def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
+                  tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Endpoint and max-V along a program (V tracked at accepted steps,
     with the step size capped so peaks cannot be skipped)."""
     y = np.asarray(x0, dtype=float)
@@ -145,40 +133,33 @@ def flow_endpoint(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-1
 
     for value, duration in program.segments:
         _, y = integrate_segment(
-            sys.rhs(value), y, duration, tol,
-            divergence_bound=divergence_bound,
-            h_max=duration / 16.0, on_step=track)
+            sys.rhs(value), y, duration, tol, h_max=duration / 16.0, on_step=track)
     return y, v_max
 
 
-def _endpoint(sys: SystemDef, x0, program: ControlProgram, tol: float,
-              divergence_bound: float = 1e6) -> np.ndarray:
-    """Endpoint only, with unconstrained adaptive steps."""
-    y = np.asarray(x0, dtype=float)
-    for value, duration in program.segments:
-        _, y = integrate_segment(
-            sys.rhs(value), y, duration, tol, divergence_bound=divergence_bound)
-    return y
+# integration tolerance of the composed flows behind the diagnostics
+_FLOW_TOL = 1e-12
 
 
-def composed_flow(sys: SystemDef, x0, rho: float, u1: float, t: float,
-                  tol: float = 1e-12) -> np.ndarray:
+def composed_flow(sys: SystemDef, x0, rho: float, u1: float, t: float) -> np.ndarray:
     """Flow along f + u2 g for time t, then along f + u1 g for rho*t,
-    with u2 = -rho*u1. R(0) = x0."""
+    with u2 = -rho*u1, integrated with unconstrained adaptive steps.
+    R(0) = x0."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    x0 = np.asarray(x0, dtype=float)
+    y = np.asarray(x0, dtype=float)
     if t == 0.0:
-        return x0.copy()
-    return _endpoint(sys, x0, two_phase_program(rho, u1, t), tol)
+        return y.copy()
+    for value, duration in two_phase_program(rho, u1, t).segments:
+        _, y = integrate_segment(sys.rhs(value), y, duration, _FLOW_TOL)
+    return y
 
 
-def m_of_t(sys: SystemDef, x0, rho: float, u1: float, t: float,
-           tol: float = 1e-12) -> float:
+def m_of_t(sys: SystemDef, x0, rho: float, u1: float, t: float) -> float:
     """V evaluated at the composed flow: m(t) = V(R(t))."""
-    return sys.v_at(composed_flow(sys, x0, rho, u1, t, tol))
+    return sys.v_at(composed_flow(sys, x0, rho, u1, t))
 
 
 # --- derivative estimates -----------------------------------------------------
@@ -196,25 +177,25 @@ class MDerivatives:
 
 
 def m_derivative_estimates(
-        sys: SystemDef, x0, rho: float, u1: float, order_max: int,
-        base_step: float = 0.01, tol: float = 1e-12) -> MDerivatives:
-    """One-sided finite differences of m_of_t on a geometric grid with two
-    Richardson levels. Only t >= 0 is sampled since R is a forward flow."""
+        sys: SystemDef, x0, rho: float, u1: float, order_max: int) -> MDerivatives:
+    """One-sided finite differences of m_of_t with steps 0.01, 0.005 and
+    0.0025 and two Richardson levels. Only t >= 0 is sampled since R is a
+    forward flow."""
     if not 1 <= order_max <= 4:
         raise ValueError(f"order_max must be in 1..4, got {order_max}")
     x0 = np.asarray(x0, dtype=float)
-    quarter = base_step / 4.0
+    quarter = 0.01 / 4.0
     cache: dict[int, float] = {}
 
     def m_at(k: int) -> float:
         v = cache.get(k)
         if v is None:
-            v = m_of_t(sys, x0, rho, u1, k * quarter, tol)
+            v = m_of_t(sys, x0, rho, u1, k * quarter)
             cache[k] = v
         return v
 
     m0 = m_at(0)
-    eps_m = (tol + 1e-16) * (1.0 + abs(m0))
+    eps_m = (_FLOW_TOL + 1e-16) * (1.0 + abs(m0))
 
     values, noise, flags = [], [], []
     for n in range(1, order_max + 1):
@@ -239,14 +220,15 @@ def m_derivative_estimates(
 
 # --- bracket-expansion residual -------------------------------------------------
 
-def cbh_residual(sys: SystemDef, x0, rho: float, u1: float, k: int, t: float,
-                 tol: float = 1e-12, fd_step: float | None = None) -> float:
+def cbh_residual(sys: SystemDef, x0, rho: float, u1: float, k: int, t: float) -> float:
     """Norm of Rdot(t) minus the truncated bracket series
 
         (A0 + rho t A1 + ... + rho^k t^k / k! Ak)(R(t)),
 
     where A0 = rho X + Y and A_i is the i-fold bracketing of Y by X.
-    Rdot is formed by numerical differentiation of the composed flow.
+    Rdot is formed by numerical differentiation of the composed flow: a
+    one-sided stencil with step 1e-5 at t = 0, a central one with step
+    min(1e-3, t/4) otherwise.
     """
     if not 0 <= k <= 4:
         raise ValueError(f"series depth must be in 0..4, got {k}")
@@ -262,14 +244,14 @@ def cbh_residual(sys: SystemDef, x0, rho: float, u1: float, k: int, t: float,
     field_fns = [f.compiled() for f in fields]
 
     def R(s: float) -> np.ndarray:
-        return composed_flow(sys, x0, rho, u1, s, tol)
+        return composed_flow(sys, x0, rho, u1, s)
 
     if t == 0.0:
-        h = fd_step or 1e-5
+        h = 1e-5
         rdot = (-3.0 * R(0.0) + 4.0 * R(h) - R(2.0 * h)) / (2.0 * h)
         rt = x0
     else:
-        h = fd_step or min(1e-3, t / 4.0)
+        h = min(1e-3, t / 4.0)
         rdot = (R(t - 2 * h) - 8.0 * R(t - h) + 8.0 * R(t + h) - R(t + 2 * h)) / (12.0 * h)
         rt = R(t)
 
@@ -281,121 +263,91 @@ def cbh_residual(sys: SystemDef, x0, rho: float, u1: float, k: int, t: float,
 
 # --- one-step synthesis ---------------------------------------------------------
 
-def _halvings(limit: float, floor_factor: float):
+# the search grids: input amplitudes of the Transversal, P2 and P3 cases,
+# rho values and small inputs of P4, and the fraction of the duration cap
+# at which the halving of candidate durations stops (20 durations)
+_AMPLITUDES = tuple(2.0 ** j for j in range(11))
+_RHO_GRID = (1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 0.125, 16.0, 0.0625, 32.0, 0.03125)
+_SMALL_INPUTS = tuple(2.0 ** -j for j in range(11))
+_DURATION_FLOOR = 1e-6
+
+
+def _halvings(limit: float):
     value = limit
-    floor = limit * floor_factor
+    floor = limit * _DURATION_FLOOR
     while value > floor * (1.0 - 1e-12):
         yield value
         value /= 2.0
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _candidates(cert: Certificate, xi: float):
+    """The (rho, u1, program) candidates of one step in search order: the
+    input signs and amplitudes, or (rho, u1) pairs, of the certificate's
+    case, each with durations halving from the cap xi. There are 220
+    (Transversal), 20 (ArtsteinSontag, P1), 440 (P2), 220 (P3) or 4,840
+    (P4) of them."""
+    if cert.case in (Case.TRANSVERSAL, Case.ARTSTEIN_SONTAG):
+        # one constant input: against gV, or none at all when fV < 0
+        sign = -math.copysign(1.0, cert.witnesses["gV"])
+        inputs = ([sign * c for c in _AMPLITUDES]
+                  if cert.case is Case.TRANSVERSAL else [0.0])
+        for u in inputs:
+            for eps in _halvings(xi):
+                yield 0.0, u, ControlProgram(((u, eps),))
+        return
+    if cert.case is Case.P1:
+        pairs = [(1.0, 0.0)]
+    elif cert.case is Case.P2:
+        preferred = -math.copysign(1.0, cert.witnesses[f"ad_g^{cert.N}(f)V"])
+        pairs = [(1.0, s * a) for a in _AMPLITUDES for s in (preferred, -preferred)]
+    elif cert.case is Case.P3:
+        pairs = [(1.0, a) for a in _AMPLITUDES]
+    else:
+        pairs = [(rho, s * a) for rho in _RHO_GRID for a in _SMALL_INPUTS
+                 for s in (1.0, -1.0)]
+    for rho, u1 in pairs:
+        for t in _halvings(xi / (1.0 + rho)):
+            yield rho, u1, two_phase_program(rho, u1, t)
 
 
 def synthesize_step(
         sys: SystemDef,
         x0,
         xi: float,
-        budget: SearchBudget | None = None,
         n_max: int = DEFAULT_N_MAX,
-        tol: float = 1e-10,
-        tau_zero: float = DEFAULT_TAU_ZERO,
-        certificate: Certificate | None = None) -> StepResult:
+        tol: float = 1e-10) -> StepResult:
     """Produce a verified program of duration at most xi with
     V(end) < V(x0) and max V along the step at most 2 V(x0).
 
-    The strategy is dictated by the certificate case: candidates (an input
-    sign and amplitude, or a (rho, u1) pair) come in a fixed order, each
-    with durations halving from the cap, and the first one whose simulation
-    drops V by more than the floor without exceeding 2 V(x0) is returned.
-    The result is a pure function of the arguments. Raises ValueError when
-    x0 or V(x0) is not finite.
+    The candidates are those of ``_candidates`` for the certificate's case,
+    and the first one whose simulation drops V by more than the floor
+    without exceeding 2 V(x0) is returned. The result is a pure function
+    of the arguments. Raises ValueError when x0, V(x0) or xi is not finite.
     """
-    budget = budget or DEFAULT_BUDGET
     x0 = np.asarray(x0, dtype=float)
     v0 = sys.v_value(x0)
-    if float(np.linalg.norm(x0)) <= tau_zero:
+    if float(np.linalg.norm(x0)) <= DEFAULT_TAU_ZERO:
         raise ValueError("cannot synthesize a step at the origin")
-    if not xi > 0:
-        raise ValueError(f"max duration must be positive, got {xi}")
-    cert = certificate or certify_point(sys, x0, n_max=n_max, tau_zero=tau_zero)
+    if not 0 < xi < math.inf:
+        raise ValueError(f"max duration must be positive and finite, got {xi}")
+    cert = certify_point(sys, x0, n_max=n_max)
     if cert.case is Case.INCONCLUSIVE:
         raise CertificateInconclusive(cert)
 
     drop_floor = v0 * max(100.0 * tol, 1e-12)
-    state = {"sims": 0, "best": None}
-
-    def attempt(program: ControlProgram, rho: float, u1: float) -> StepResult | None:
-        if state["sims"] >= budget.max_simulations:
-            raise _BudgetExhausted
-        state["sims"] += 1
+    simulations, best = 0, None
+    for rho, u1, program in _candidates(cert, xi):
+        simulations += 1
         try:
             end, v_max = flow_endpoint(sys, x0, program, tol)
         except IntegrationError:
-            return None
+            continue
         drop = v0 - sys.v_at(end)
-        if state["best"] is None or drop > state["best"]:
-            state["best"] = drop
+        if best is None or drop > best:
+            best = drop
         if drop > drop_floor and v_max <= 2.0 * v0:
             return StepResult(program, cert, rho, u1, drop, v_max / v0,
                               tuple(float(v) for v in end))
-        return None
-
-    def single_segment_search(u: float) -> StepResult | None:
-        for eps in _halvings(xi, budget.duration_floor_factor):
-            result = attempt(ControlProgram(((u, eps),)), 0.0, u)
-            if result is not None:
-                return result
-        return None
-
-    def two_phase_search() -> StepResult | None:
-        for rho, u1 in candidate_pairs():
-            for t in _halvings(xi / (1.0 + rho), budget.duration_floor_factor):
-                result = attempt(two_phase_program(rho, u1, t), rho, u1)
-                if result is not None:
-                    return result
-        return None
-
-    def candidate_pairs():
-        if cert.case is Case.P1:
-            yield 1.0, 0.0
-        elif cert.case is Case.P2:
-            bracket = cert.witnesses[f"ad_g^{cert.N}(f)V"]
-            preferred = -math.copysign(1.0, bracket)
-            for a in budget.amplitudes:
-                yield 1.0, preferred * a
-                yield 1.0, -preferred * a
-        elif cert.case is Case.P3:
-            for a in budget.amplitudes:
-                yield 1.0, a
-        elif cert.case is Case.P4:
-            for rho in budget.rho_grid:
-                for a in budget.small_inputs:
-                    yield rho, a
-                    yield rho, -a
-
-    try:
-        if cert.case is Case.TRANSVERSAL:
-            sign = -math.copysign(1.0, cert.witnesses["gV"])
-            for c in budget.amplitudes:
-                result = single_segment_search(sign * c)
-                if result is not None:
-                    return result
-        elif cert.case is Case.ARTSTEIN_SONTAG:
-            result = single_segment_search(0.0)
-            if result is not None:
-                return result
-        else:
-            result = two_phase_search()
-            if result is not None:
-                return result
-    except _BudgetExhausted:
-        raise SynthesisFailed(
-            f"budget exhausted while synthesizing a step for case {cert.case.value}",
-            best_drop=state["best"], simulations=state["sims"],
-            certificate=cert) from None
-
     raise SynthesisFailed(
         f"search grids exhausted for case {cert.case.value}",
-        best_drop=state["best"], simulations=state["sims"], certificate=cert)
+        best_drop=best, simulations=simulations, certificate=cert)

@@ -190,6 +190,15 @@ def _run_module(argv, systems_dir, out):
     ["certify-grid", "--box=-inf:1,-1:1", "--res", "3,3"],
     ["certify", "--at", "1,0", "--nmax", "7"],
     ["simulate", "--x0", "1,0", "--partition", "uniform:0.5", "--horizon", "inf"],
+    ["simulate", "--x0", "1,0", "--partition", "uniform:0.5", "--xi", "inf"],
+    ["diagnose-m", "--at", "1,0", "--u1", "inf"],
+    ["diagnose-m", "--at", "1,0", "--u1", "nan"],
+    ["diagnose-m", "--at", "1,0", "--rho", "inf"],
+    ["cbh-check", "--at", "1,0", "--rho", "inf"],
+    ["cbh-check", "--at", "1,0", "--u1", "-inf"],
+    ["step", "--at", "1,0", "--xi", "inf"],
+    ["step", "--at", "1,0", "--tol", "inf"],
+    ["step", "--at", "1,0", "--tol", "nan"],
 ])
 def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
     done = _run_module(argv, systems_dir, tmp_path)
@@ -209,6 +218,19 @@ def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
 def test_options_a_subcommand_does_not_read_are_rejected(systems_dir, tmp_path, argv, capsys):
     assert main([*argv, *_sys_arg(systems_dir, "dblint.sys"), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+
+
+def test_literal_beyond_float_range_exits_one(tmp_path):
+    big = tmp_path / "big.sys"
+    big.write_text('dim = 2\nf = ["x2", "0"]\ng = ["0", "1"]\nV = "1e400*x1^2+x2^2"\n')
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sdstab", "certify", "--system", str(big), "--at", "1,0",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {big}: ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_cbh_check_with_zero_time(systems_dir, tmp_path):

@@ -121,7 +121,7 @@ def test_rhs_domain_errors_become_integration_errors():
 
 def test_tolerance_must_be_positive():
     rhs = VectorField.from_strings(["-x1"], 1).compiled()
-    for tol in (0.0, -1e-10, math.nan):
+    for tol in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             integrate_segment(rhs, [1.0], 1.0, tol)
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdstab
 from sdstab.certify import SystemDef
 from sdstab.lie import ScalarField, VectorField
 from sdstab.simloop import (
@@ -72,6 +77,31 @@ def test_non_finite_horizon_rejected(dblint, horizon):
             run_closed_loop(dblint, x0, Partition.uniform(0.5), horizon)
 
 
+_HUGE_HORIZON_RUN = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from sdstab import Partition, load_system, run_closed_loop
+_, report = run_closed_loop(load_system(sys.argv[1]), [1.0, 0.0], Partition.uniform(0.5), 1e12)
+print(report.stop_time, report.failure)
+"""
+
+
+def test_huge_horizon_holds_no_partition_times_beyond_the_stop(systems_dir):
+    # built up front, the times of a 1e12 s horizon would take about 2e12
+    # floats; the run stops near t = 20, under a 1 GiB address-space cap,
+    # in a separate process so that a failure cannot exhaust the suite's memory
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _HUGE_HORIZON_RUN, str(systems_dir / "dblint.sys")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    stop_time, failure = done.stdout.split()
+    assert failure == "None"
+    assert 15.0 < float(stop_time) < 25.0
+
+
 # --- open-loop integration ----------------------------------------------------------
 
 def test_integrate_double_integrator_closed_form(dblint):
@@ -120,15 +150,20 @@ def test_observed_order_at_least_four(circular):
 
 
 def test_divergence_detected():
+    # x1 = e^t passes the bound 1e6 at t = 13.8
+    growth = SystemDef(
+        VectorField.from_strings(["x1", "0"], 2),
+        VectorField.from_strings(["0", "1"], 2),
+        ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
+    )
+    with pytest.raises(IntegrationError, match="divergence bound 1000000.0 at t = 13.8"):
+        integrate(growth, [1.0, 0.0], ControlProgram(((0.0, 20.0),)))
+    # x1 escapes to infinity at t = 0.22
     blowup = SystemDef(
         VectorField.from_strings(["x1^3", "0"], 2),
         VectorField.from_strings(["0", "1"], 2),
         ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
     )
-    with pytest.raises(IntegrationError, match="divergence"):
-        integrate(blowup, [1.5, 0.0], ControlProgram(((0.0, 2.0),)),
-                  divergence_bound=1e3)
-    # without a finite-time escape the singularity shows up as underflow
     with pytest.raises(IntegrationError):
         integrate(blowup, [1.5, 0.0], ControlProgram(((0.0, 2.0),)))
 

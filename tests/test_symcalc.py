@@ -104,6 +104,15 @@ def test_compile_matches_evaluate():
         assert fn(p) == pytest.approx(evaluate(e, p), rel=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_compile_matches_evaluate_on_non_finite_constants(value):
+    for e in (Const(value), Mul(Const(value), Var(1)), Sub(Var(1), Const(value))):
+        assert compile_expr(e)((2.0,)) == evaluate(e, (2.0,))
+    nan_sum = Add(Var(1), Const(math.nan))
+    assert math.isnan(compile_expr(nan_sum)((2.0,)))
+    assert math.isnan(evaluate(nan_sum, (2.0,)))
+
+
 # --- simplification ---------------------------------------------------------------
 
 def test_simplify_zero_product():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from sdstab.certify import Case, certify_point
+from sdstab.certify import Case, SystemDef, certify_point
+from sdstab.lie import ScalarField, VectorField
 from sdstab.synth import (
-    CertificateInconclusive, ControlProgram, SearchBudget, SynthesisFailed,
+    CertificateInconclusive, ControlProgram, SynthesisFailed, _candidates,
     cbh_residual, composed_flow, flow_endpoint, m_derivative_estimates,
     m_of_t, synthesize_step, two_phase_program,
 )
@@ -34,6 +37,13 @@ def test_two_phase_structure():
     prog = two_phase_program(2.0, 3.0, 0.1)
     assert prog.segments[0] == (-6.0, 0.1)
     assert prog.segments[1] == (3.0, pytest.approx(0.2))
+
+
+@pytest.mark.parametrize("rho,u1", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0),
+                                    (1.0, math.nan)])
+def test_two_phase_program_rejects_non_finite(rho, u1):
+    with pytest.raises(ValueError, match="finite"):
+        two_phase_program(rho, u1, 0.1)
 
 
 # --- composed flow -------------------------------------------------------------------
@@ -172,9 +182,14 @@ def test_step_rejects_origin(dblint):
 
 @pytest.mark.parametrize("point", [[np.nan, 0.0], [-np.inf, 1.0], [1e200, 0.0]])
 def test_step_rejects_non_finite_state(dblint, point):
-    cert = certify_point(dblint, [1.0, 0.0])
     with pytest.raises(ValueError, match="not finite"):
-        synthesize_step(dblint, point, 0.5, certificate=cert)
+        synthesize_step(dblint, point, 0.5)
+
+
+@pytest.mark.parametrize("xi", [math.inf, math.nan, 0.0, -0.5])
+def test_step_rejects_a_duration_cap_that_is_not_positive_and_finite(dblint, xi):
+    with pytest.raises(ValueError, match="max duration"):
+        synthesize_step(dblint, [1.0, 0.0], xi)
 
 
 def test_step_p4_rotation(rotation3):
@@ -197,11 +212,91 @@ def test_inconclusive_passthrough(inert_system):
         synthesize_step(inert_system, [1.0, 0.0], 0.5)
 
 
-def test_budget_exhaustion_reports_best(dblint):
-    with pytest.raises(SynthesisFailed) as err:
-        synthesize_step(dblint, [0.0, 1.0], 0.5,
-                        budget=SearchBudget(max_simulations=0))
-    assert err.value.simulations == 0
+def test_grids_exhausted_reports_best(dblint):
+    # no single segment of at most 1e-12 s drops V by the floor 100 * tol * V
+    with pytest.raises(SynthesisFailed, match="grids exhausted") as err:
+        synthesize_step(dblint, [0.0, 1.0], 1e-12)
+    assert err.value.simulations == 220
+    # the best is the largest input, 2^10, held for the longest duration
+    assert err.value.best_drop == pytest.approx(1024e-12, rel=1e-3)
+    assert err.value.certificate.case is Case.TRANSVERSAL
+
+
+def _nested_search_order(cert, xi):
+    """The candidate order of the search as nested loops over the grids
+    (amplitudes 2^0..2^10, the rho grid, small inputs 2^0..2^-10, and
+    durations halving from the cap down to 1e-6 of it), recorded by an
+    attempt that never succeeds."""
+    amplitudes = tuple(2.0 ** j for j in range(11))
+    rho_grid = (1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 0.125, 16.0, 0.0625, 32.0, 0.03125)
+    small_inputs = tuple(2.0 ** -j for j in range(11))
+    tried = []
+
+    def halvings(limit):
+        value, floor = limit, limit * 1e-6
+        while value > floor * (1.0 - 1e-12):
+            yield value
+            value /= 2.0
+
+    def attempt(program, rho, u1):
+        tried.append((rho, u1, program.segments))
+
+    def single_segment_search(u):
+        for eps in halvings(xi):
+            attempt(ControlProgram(((u, eps),)), 0.0, u)
+
+    def candidate_pairs():
+        if cert.case is Case.P1:
+            yield 1.0, 0.0
+        elif cert.case is Case.P2:
+            preferred = -math.copysign(1.0, cert.witnesses[f"ad_g^{cert.N}(f)V"])
+            for a in amplitudes:
+                yield 1.0, preferred * a
+                yield 1.0, -preferred * a
+        elif cert.case is Case.P3:
+            for a in amplitudes:
+                yield 1.0, a
+        elif cert.case is Case.P4:
+            for rho in rho_grid:
+                for a in small_inputs:
+                    yield rho, a
+                    yield rho, -a
+
+    if cert.case is Case.TRANSVERSAL:
+        sign = -math.copysign(1.0, cert.witnesses["gV"])
+        for c in amplitudes:
+            single_segment_search(sign * c)
+    elif cert.case is Case.ARTSTEIN_SONTAG:
+        single_segment_search(0.0)
+    else:
+        for rho, u1 in candidate_pairs():
+            for t in halvings(xi / (1.0 + rho)):
+                attempt(two_phase_program(rho, u1, t), rho, u1)
+    return tried
+
+
+@pytest.mark.parametrize("name,point,case,count", [
+    ("dblint", (0.0, 1.0), Case.TRANSVERSAL, 220),
+    ("decay", (1.0, 0.0), Case.ARTSTEIN_SONTAG, 20),
+    ("drift_decay", (0.5, 0.0), Case.P1, 20),
+    ("dblint", (1.0, 0.0), Case.P2, 440),
+    ("planar_cubic", (1.0, 0.0), Case.P3, 220),
+    ("rotation3", (1.0, 0.0, 0.0), Case.P4, 4840),
+])
+def test_candidates_follow_the_nested_search_order(systems, drift_decay, name, point,
+                                                   case, count):
+    decay = SystemDef(
+        VectorField.from_strings(["-x1", "0"], 2),
+        VectorField.from_strings(["0", "1"], 2),
+        ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
+    )
+    sysd = {**systems, "drift_decay": drift_decay, "decay": decay}[name]
+    cert = certify_point(sysd, point)
+    assert cert.case is case
+    for xi in (0.5, 0.3):
+        got = [(rho, u1, program.segments) for rho, u1, program in _candidates(cert, xi)]
+        assert got == _nested_search_order(cert, xi)
+        assert len(got) == count
 
 
 ALL_POINTS = [
@@ -247,7 +342,7 @@ def test_derivative_vanishing_at_chosen_parameters(systems, name, point):
     cert = certify_point(sysd, point)
     if cert.case in (Case.TRANSVERSAL, Case.ARTSTEIN_SONTAG):
         pytest.skip("constant-input case")
-    result = synthesize_step(sysd, point, 0.5, certificate=cert)
+    result = synthesize_step(sysd, point, 0.5)
     md = m_derivative_estimates(sysd, point, result.rho, result.u1, cert.N + 1)
     for n in range(cert.N):
         assert abs(md.values[n]) <= md.noise[n]
