@@ -323,9 +323,12 @@ def _finite_float(what: str):
 
 def _parse_times(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        times = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise CliError(f"cannot parse times {text!r}") from None
+        raise CliError(f"cannot parse --t {text!r}") from None
+    if not all(map(math.isfinite, times)):
+        raise CliError(f"--t {text!r} has a non-finite time")
+    return times
 
 
 def _parse_partition(text: str) -> Partition:

@@ -7,7 +7,10 @@ programs on model-predicted states (the model and the plant coincide
 here), then integrates the plant through the resulting schedule. Chain
 boundaries where a program ran to completion are recorded as checkpoints;
 V must drop strictly at every checkpoint and stay below twice the value
-at the latest checkpoint in between.
+at the latest checkpoint in between. Both the planner and the executor
+check the latter at every accepted integration step and on the
+integrator's continuous extension inside it, at least every 1/16 of each
+program segment.
 
 Each chained program is synthesized with its duration capped by the time
 remaining in the interval; since the candidate durations start at that
@@ -113,8 +116,9 @@ class Partition:
 @dataclass
 class Trajectory:
     """Dense samples of a run plus checkpoint and switching metadata.
-    v_sup is the largest V seen at any accepted integration step, which is
-    finer-grained than the recorded samples."""
+    v_sup is the largest V seen at any accepted integration step or on the
+    continuous extension inside one, which is finer-grained than the
+    recorded samples."""
 
     times: np.ndarray
     states: np.ndarray
@@ -182,16 +186,18 @@ def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
     v_at = sys.v_at
     v_sup = v_at(x)
 
-    def track(_t, state):
+    def track(*point):
+        # called as on_step(t, state) and as on_dense(state)
         nonlocal v_sup
-        v = v_at(state)
+        v = v_at(point[-1])
         if v > v_sup:
             v_sup = v
 
     for value, duration in program.segments:
         interior = _interior_grid(duration, sample_dt)
         samples, x = integrate_segment(
-            sys.rhs(value), x, duration, tol, sample_times=interior, on_step=track)
+            sys.rhs(value), x, duration, tol, sample_times=interior,
+            on_step=track, on_dense=track)
         for s, y in samples[1:]:
             times.append(t_base + s)
             states.append(y)

@@ -119,21 +119,24 @@ class CertificateInconclusive(RuntimeError):
 
 def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
                   tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Endpoint and max-V along a program (V tracked at accepted steps,
-    with the step size capped so peaks cannot be skipped)."""
+    """Endpoint and max-V along a program. V is tracked at every accepted
+    step and on the continuous extension inside it, so that it is sampled at
+    least every duration/16 of each segment while the step size follows the
+    error control alone."""
     y = np.asarray(x0, dtype=float)
     v_at = sys.v_at
     v_max = v_at(y)
 
-    def track(_t, state):
+    def track(*point):
+        # called as on_step(t, state) and as on_dense(state)
         nonlocal v_max
-        v = v_at(state)
+        v = v_at(point[-1])
         if v > v_max:
             v_max = v
 
     for value, duration in program.segments:
         _, y = integrate_segment(
-            sys.rhs(value), y, duration, tol, h_max=duration / 16.0, on_step=track)
+            sys.rhs(value), y, duration, tol, on_step=track, on_dense=track)
     return y, v_max
 
 
@@ -145,8 +148,8 @@ def composed_flow(sys: SystemDef, x0, rho: float, u1: float, t: float) -> np.nda
     """Flow along f + u2 g for time t, then along f + u1 g for rho*t,
     with u2 = -rho*u1, integrated with unconstrained adaptive steps.
     R(0) = x0."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     y = np.asarray(x0, dtype=float)
@@ -232,8 +235,8 @@ def cbh_residual(sys: SystemDef, x0, rho: float, u1: float, k: int, t: float) ->
     """
     if not 0 <= k <= 4:
         raise ValueError(f"series depth must be in 0..4, got {k}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
     x0 = np.asarray(x0, dtype=float)
     u2 = -rho * u1
     X = sys.f + sys.g.scaled(u1)

@@ -199,12 +199,17 @@ def _run_module(argv, systems_dir, out):
     ["step", "--at", "1,0", "--xi", "inf"],
     ["step", "--at", "1,0", "--tol", "inf"],
     ["step", "--at", "1,0", "--tol", "nan"],
+    ["cbh-check", "--at", "1,0", "--t", "inf"],
+    ["cbh-check", "--at", "1,0", "--t", "0.01,nan"],
 ])
 def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
     done = _run_module(argv, systems_dir, tmp_path)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1, done.stderr
+    if "--t" in argv:
+        # the message names the option and its value
+        assert done.stderr.startswith(f"error: --t {argv[-1]!r} "), done.stderr
 
 
 @pytest.mark.parametrize("argv", [

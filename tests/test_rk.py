@@ -19,7 +19,8 @@ from sdstab.lie import VectorField
 
 
 def reference_stages(rhs, y, h, k1):
-    """One Dormand-Prince step on numpy arrays (rhs returns an ndarray)."""
+    """One Dormand-Prince step on numpy arrays (rhs returns an ndarray):
+    y_new, err and the stages k1, k3..k7 of the continuous extension."""
     k2 = rhs(y + h * (_rk._A21 * k1))
     k3 = rhs(y + h * (_rk._A31 * k1 + _rk._A32 * k2))
     k4 = rhs(y + h * (_rk._A41 * k1 + _rk._A42 * k2 + _rk._A43 * k3))
@@ -31,7 +32,7 @@ def reference_stages(rhs, y, h, k1):
     k7 = rhs(y_new)
     err = h * (_rk._E1 * k1 + _rk._E3 * k3 + _rk._E4 * k4 + _rk._E5 * k5
                + _rk._E6 * k6 + _rk._E7 * k7)
-    return y_new, err, k7
+    return y_new, err, (k1, k3, k4, k5, k6, k7)
 
 
 def reference_error_norm(err, y, y_new, atol, rtol):
@@ -66,12 +67,14 @@ def test_stages_bitwise_equal_to_numpy_reference(systems, data, name, u, h, tol)
         return np.array(rhs(x))
 
     y_np = np.array(y)
-    ref_new, ref_err, ref_k7 = reference_stages(rhs_np, y_np, h, rhs_np(y_np))
-    y_new, err, k7 = _rk._stages(rhs, y, h, rhs(y))
-    assert all(type(v) is float for v in y_new + err + k7)
+    ref_new, ref_err, ref_ks = reference_stages(rhs_np, y_np, h, rhs_np(y_np))
+    y_new, err, ks = _rk._stages(rhs, y, h, rhs(y))
+    assert len(ks) == 6
+    assert all(type(v) is float for v in y_new + err + [c for k in ks for c in k])
     assert _bits(y_new) == _bits(ref_new)
     assert _bits(err) == _bits(ref_err)
-    assert _bits(k7) == _bits(ref_k7)
+    # k7 (the next step's k1) and the other stages of the continuous extension
+    assert all(_bits(k) == _bits(ref) for k, ref in zip(ks, ref_ks))
     atol, rtol = tol * 1e-2, tol
     got = _rk._error_norm(err, y, y_new, atol, rtol)
     want = reference_error_norm(ref_err, y_np, ref_new, atol, rtol)
@@ -126,6 +129,13 @@ def test_tolerance_must_be_positive():
             integrate_segment(rhs, [1.0], 1.0, tol)
 
 
+def test_duration_must_be_non_negative_and_finite():
+    rhs = VectorField.from_strings(["-x1"], 1).compiled()
+    for duration in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="segment duration"):
+            integrate_segment(rhs, [1.0], duration, 1e-10)
+
+
 def test_boundary_types_are_arrays(dblint):
     rhs = dblint.rhs(1.0)
     seen = []
@@ -145,3 +155,64 @@ def test_boundary_types_are_arrays(dblint):
     end = fixed_steps(rhs, [1.0, 0.0], 0.5, 8)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
     np.testing.assert_allclose(end, [1.125, 0.5], rtol=1e-12)
+
+
+def test_dense_weights_at_one_are_the_step_weights():
+    weights = _rk._dense_weights(1.0)
+    step = (_rk._B1, _rk._B3, _rk._B4, _rk._B5, _rk._B6, 0.0)
+    assert all(abs(w - b) <= 1e-15 for w, b in zip(weights, step))
+    assert _rk._DENSE_WEIGHTS[1] == ()
+    assert all(len(_rk._DENSE_WEIGHTS[m]) == m - 1 for m in range(1, 17))
+    assert _rk._DENSE_WEIGHTS[4][1] == _rk._dense_weights(0.5)
+
+
+def test_dense_states_follow_the_exact_solution():
+    # x' = -x from 1: steps grow beyond duration/16 on a segment this short,
+    # so the check between steps has to come from the continuous extension
+    rhs = VectorField.from_strings(["-x1"], 1).compiled()
+    duration = 0.2
+    calls = []
+    _, y_end = integrate_segment(
+        rhs, [1.0], duration, 1e-10,
+        on_step=lambda t, y: calls.append((t, y)),
+        on_dense=lambda y: calls.append((None, y)))
+    steps = [(t, y) for t, y in calls if t is not None]
+    assert steps[0][0] == 0.0 and steps[-1][0] == duration
+    dense_count = 0
+    t_prev, pending = 0.0, []
+    times = [0.0]
+    for t, y in calls[1:]:
+        if t is None:
+            pending.append(y)
+            continue
+        h = t - t_prev
+        m = math.ceil(16 * h / duration)
+        assert len(pending) == m - 1
+        for j, y_dense in enumerate(pending, start=1):
+            s = t_prev + j / m * h
+            assert abs(y_dense[0] - math.exp(-s)) <= 1e-9
+            times.append(s)
+        times.append(t)
+        dense_count += len(pending)
+        t_prev, pending = t, []
+    assert pending == []
+    assert dense_count > 0
+    assert max(b - a for a, b in zip(times, times[1:])) <= duration / 16 * (1 + 1e-12)
+    assert abs(y_end[0] - math.exp(-duration)) <= 1e-9
+
+
+def test_dense_output_evaluates_no_rhs(dblint):
+    counted = [0]
+    rhs = dblint.rhs(1.0)
+
+    def counting(x):
+        counted[0] += 1
+        return rhs(x)
+
+    dense = []
+    integrate_segment(counting, [1.0, 0.0], 0.5, 1e-10)
+    without = counted[0]
+    counted[0] = 0
+    integrate_segment(counting, [1.0, 0.0], 0.5, 1e-10, on_dense=dense.append)
+    assert counted[0] == without
+    assert dense

@@ -109,6 +109,14 @@ def test_integrate_double_integrator_closed_form(dblint):
     np.testing.assert_allclose(traj.states[-1], [0.5, 1.0], atol=1e-10)
 
 
+def test_integrate_sees_a_peak_inside_one_step(peak_inside_step):
+    # no sample time inside the segment, so the steps grow to about 1
+    traj = integrate(peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)),
+                     sample_dt=2.0)
+    assert list(traj.times) == [0.0, 2.0]
+    assert 0.249 <= traj.v_sup <= 0.25
+
+
 def test_integrate_zero_dynamics(inert):
     traj = integrate(inert, [0.3, -0.7], ControlProgram(((1.0, 2.0),)))
     np.testing.assert_allclose(traj.states[-1], [0.3, -0.7], atol=1e-14)

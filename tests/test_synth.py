@@ -148,7 +148,23 @@ def test_cbh_depth_validation(dblint):
         cbh_residual(dblint, [1.0, 0.0], 1.0, 1.0, 5, 0.1)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -0.1])
+def test_time_must_be_non_negative_and_finite(dblint, t):
+    with pytest.raises(ValueError, match="time must be >= 0 and finite"):
+        composed_flow(dblint, [1.0, 0.0], 1.0, 1.0, t)
+    with pytest.raises(ValueError, match="time must be >= 0 and finite"):
+        cbh_residual(dblint, [1.0, 0.0], 1.0, 1.0, 2, t)
+
+
 # --- one-step synthesis --------------------------------------------------------------------
+
+def test_flow_endpoint_sees_a_peak_inside_one_step(peak_inside_step):
+    end, v_max = flow_endpoint(
+        peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)))
+    np.testing.assert_allclose(end, [0.0, -1.0], atol=1e-9)
+    assert 0.249 <= v_max <= 0.25
+
+
 
 def _resimulate(sysd, x0, result, tol):
     end, v_max = flow_endpoint(sysd, np.asarray(x0, dtype=float), result.program, tol)
