@@ -15,8 +15,12 @@ with candidate function V:
 
 Every witness is V differentiated along a bracket monomial, evaluated by
 ``monomial_value``: gV is (g), f^N V is (f, ..., f), and the adjoint
-witnesses are ([...[f,g],...,g]) and ([...[g,f],...,f]). N_max is capped
-at N_MAX_LIMIT.
+witnesses are ([...[f,g],...,g]) and ([...[g,f],...,f]). Each monomial's
+scalar is built once per system from the scalar of its suffix; at a point,
+every witness walks its expression tree with one shared memo, so a subtree
+common to many monomials is evaluated once there. A witness that is not
+finite, or whose evaluation leaves its domain, is an error: nothing is
+certified from it. N_max is capped at N_MAX_LIMIT.
 
 All zero/sign decisions use the scale-aware tolerance
 |v| <= tau_zero * (1 + |x|^2).
@@ -36,6 +40,7 @@ from .lie import (
     LieWord, ScalarField, VectorField, WORD_F, WORD_G, bracket_word,
     directional_derivative, enumerate_monomial_products, lie_bracket,
 )
+from .symcalc import DomainError, evaluate
 
 __all__ = [
     "Case", "Certificate", "SystemDef", "GridEntry",
@@ -47,7 +52,7 @@ DEFAULT_TAU_ZERO = 1e-9
 DEFAULT_N_MAX = 4
 # the bracket monomials up to order N number 78, 391 and 2,064 for
 # N = 4, 5, 6, and cold certification cost grows about fivefold per order:
-# 0.018, 0.086 and 0.47 s for a point of a 3-d system where all of them
+# 0.010, 0.052 and 0.26 s for a point of a 3-d system where all of them
 # vanish (2-core host)
 N_MAX_LIMIT = 6
 
@@ -73,12 +78,12 @@ class SystemDef:
     f: VectorField
     g: VectorField
     V: ScalarField
-    # compiled monomials (keyed by word tuple), their scalar fields (keyed
-    # by ("scalar", word tuple)), realized bracket words (keyed by word),
-    # the monomials of each exact order (keyed by ("products", N)) and
-    # compiled right-hand sides (keyed by ("rhs", u)). The first point at
-    # n_max 5 where every monomial vanishes builds 395 scalars and 216 word
-    # fields in 0.086 s (2-core host); later points only evaluate.
+    # the scalar fields of bracket monomials (keyed by ("scalar", word
+    # tuple)), realized bracket words (keyed by word), the monomials of each
+    # exact order (keyed by ("products", N)) and compiled right-hand sides
+    # (keyed by ("rhs", u)). The first point at n_max 5 where every monomial
+    # vanishes builds 395 scalars and 216 word fields in 0.052 s (2-core
+    # host); later points only evaluate.
     _fns: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -164,13 +169,11 @@ def _monomial_scalar(sys: SystemDef, words: tuple[LieWord, ...]) -> ScalarField:
     return scalar
 
 
-def monomial_value(sys: SystemDef, words: tuple[LieWord, ...], x) -> float:
-    """(D_1 D_2 ... D_k V)(x), applying the rightmost word first."""
-    fn = sys._fns.get(words)
-    if fn is None:
-        raw = _monomial_scalar(sys, words).compiled()
-        fn = sys._fns[words] = lambda x: float(raw(x))
-    return fn(x)
+def monomial_value(sys: SystemDef, words: tuple[LieWord, ...], x,
+                   memo: dict | None = None) -> float:
+    """(D_1 D_2 ... D_k V)(x), applying the rightmost word first. ``memo``
+    is evaluate()'s memo of node values at x, shared by the calls at x."""
+    return evaluate(_monomial_scalar(sys, words).body, x, memo)
 
 
 def _exact_order_products(sys: SystemDef, N: int) -> tuple[tuple[LieWord, ...], ...]:
@@ -214,8 +217,9 @@ def certify_point(
         n_max: int = DEFAULT_N_MAX,
         tau_zero: float = DEFAULT_TAU_ZERO) -> Certificate:
     """Classify the state x != 0. Pure function of its arguments. Raises
-    ValueError when x or V(x) is not finite or n_max is outside
-    [0, N_MAX_LIMIT]."""
+    ValueError when x or V(x) is not finite, n_max is outside
+    [0, N_MAX_LIMIT], or a witness evaluated at x is not finite or leaves
+    its domain (a division by zero, say)."""
     _check_n_max(n_max)
     x = np.asarray(x, dtype=float)
     sys.v_value(x)
@@ -223,15 +227,26 @@ def certify_point(
     if norm <= tau_zero:
         raise ValueError("certification point is numerically the origin")
     tol = tau_zero * (1.0 + norm * norm)
+    point = x.tolist()
+    memo: dict = {}
+
+    def value(words: tuple[LieWord, ...], name: str = "") -> float:
+        try:
+            v = monomial_value(sys, words, point, memo)
+            if math.isfinite(v):
+                return v
+            problem = f"is {v}"
+        except DomainError as exc:
+            problem = f"leaves its domain ({exc})"
+        name = name or "(" + "".join(w.label() for w in words) + "V)"
+        raise ValueError(f"witness {name} {problem} at x = {tuple(point)}")
 
     witnesses: dict[str, float] = {}
-    gv = monomial_value(sys, (WORD_G,), x)
-    witnesses["gV"] = gv
+    gv = witnesses["gV"] = value((WORD_G,), "gV")
     if abs(gv) > tol:
         return Certificate(Case.TRANSVERSAL, 0, witnesses, tau_zero, tol)
 
-    fv = monomial_value(sys, (WORD_F,), x)
-    witnesses["fV"] = fv
+    fv = witnesses["fV"] = value((WORD_F,), "fV")
     if fv < -tol:
         return Certificate(Case.ARTSTEIN_SONTAG, 0, witnesses, tau_zero, tol)
 
@@ -240,35 +255,35 @@ def certify_point(
         # vanishing conditions, incremental in N: f^N V and the bracket
         # monomials of total order exactly N; a failure here persists for
         # every larger N, so the whole branch is then settled.
-        fnv = monomial_value(sys, (WORD_F,) * N, x)
-        witnesses[f"f^{N}V" if N > 1 else "fV"] = fnv
+        name = f"f^{N}V" if N > 1 else "fV"
+        fnv = witnesses[name] = value((WORD_F,) * N, name)
         if abs(fnv) > tol:
             return Certificate(
                 Case.INCONCLUSIVE, 0, witnesses, tau_zero, tol,
                 detail=f"f^{N}V(x) = {fnv} is not zero at tolerance {tol}")
         for words in _exact_order_products(sys, N):
-            value = monomial_value(sys, words, x)
-            if abs(value) > tol:
+            v = value(words)
+            if abs(v) > tol:
                 name = "".join(w.label() for w in words)
                 return Certificate(
                     Case.INCONCLUSIVE, 0, witnesses, tau_zero, tol,
-                    detail=f"({name}V)(x) = {value} is not zero at tolerance {tol}")
+                    detail=f"({name}V)(x) = {v} is not zero at tolerance {tol}")
 
         # the N-fold adjoints [...[f,g],...,g] and [...[g,f],...,f]
         adg_word, adf_word = bracket_word(adg_word, WORD_G), bracket_word(adf_word, WORD_F)
-        fn1 = monomial_value(sys, (WORD_F,) * (N + 1), x)
-        witnesses[f"f^{N + 1}V"] = fn1
+        name = f"f^{N + 1}V"
+        fn1 = witnesses[name] = value((WORD_F,) * (N + 1), name)
         if fn1 < -tol:
             return Certificate(Case.P1, N, witnesses, tau_zero, tol)
-        adg = monomial_value(sys, (adg_word,), x)
-        witnesses[f"ad_g^{N}(f)V"] = adg
+        name = f"ad_g^{N}(f)V"
+        adg = witnesses[name] = value((adg_word,), name)
         if N % 2 == 1 and abs(adg) > tol:
             return Certificate(Case.P2, N, witnesses, tau_zero, tol)
         if N % 2 == 0 and adg < -tol:
             return Certificate(Case.P3, N, witnesses, tau_zero, tol)
         if abs(fn1) <= tol:
-            adf = monomial_value(sys, (adf_word,), x)
-            witnesses[f"ad_f^{N}(g)V"] = adf
+            name = f"ad_f^{N}(g)V"
+            adf = witnesses[name] = value((adf_word,), name)
             if abs(adf) > tol:
                 return Certificate(Case.P4, N, witnesses, tau_zero, tol)
 

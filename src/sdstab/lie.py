@@ -89,7 +89,8 @@ class VectorField:
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        return np.array([evaluate(c, point) for c in self.components])
+        memo: dict = {}
+        return np.array([evaluate(c, point, memo) for c in self.components])
 
     def compiled(self):
         """Compiled field x -> [X_1(x), ..., X_n(x)] (a list: the RK kernel

@@ -17,16 +17,18 @@ Numeric literals are stored as exact rationals and only demoted to
 float at evaluation time, which keeps cancellation in polynomial
 work exact (``0.1*10 - 1`` simplifies to the literal zero).
 
-Expression trees are immutable and hashable; parsing, differentiation
-and simplification are pure functions, so values can be shared freely
-across threads.
+Expression trees are immutable and interned: each distinct subtree is one
+object, shared by every tree that contains it, and it keeps its simplified
+form and partial derivatives once computed (see Expr). Parsing,
+differentiation and simplification are pure functions; the intern table
+and the memos assume that one thread at a time builds trees.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -61,9 +63,24 @@ class DomainError(ExprError):
 
 
 class Expr:
-    """Base node. Instances are immutable; operators build new trees."""
+    """Base node. Nodes are immutable and interned: building a node whose
+    type, children and exact constant value match a live node returns that
+    node, so equal trees are one object and ``==`` is identity. A node
+    knows its largest variable index and keeps its simplified form and its
+    partial derivatives once they are computed, so a subtree shared by
+    many trees is simplified and differentiated once."""
 
-    __slots__ = ()
+    __slots__ = ("_max_var", "_simplified", "_derivs", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
     def __add__(self, other):
         return Add(self, _coerce(other))
@@ -109,88 +126,168 @@ def _coerce(value) -> "Expr":
     raise TypeError(f"cannot use {value!r} as an expression operand")
 
 
-@dataclass(frozen=True)
+# --- interning --------------------------------------------------------------
+
+# node key -> weak reference to the live node with that key. A key holds the
+# node's children, which the node holds anyway, so the table keeps no node
+# alive: an entry leaves when its node is freed.
+_TABLE: dict = {}
+_set_max_var = Expr._max_var.__set__
+_set_simplified = Expr._simplified.__set__
+_set_derivs = Expr._derivs.__set__
+# the _simplified value of a node that simplifies to itself (storing the
+# node would make it its own referent, which only the cycle collector frees)
+_IRREDUCIBLE = object()
+
+
+def _forget(ref, table=_TABLE):
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _interned(key) -> "Expr | None":
+    ref = _TABLE.get(key)
+    return None if ref is None else ref()
+
+
+def _new(cls, key, max_var: int, simplified=None) -> "Expr":
+    node = object.__new__(cls)
+    _set_max_var(node, max_var)
+    _set_simplified(node, simplified)
+    _set_derivs(node, None)
+    _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
 class Const(Expr):
-    value: Number
+    __slots__ = ("value", "_float")  # _float is None beyond float range
+    _fields = ("value",)
+
+    def __new__(cls, value: Number):
+        # 1 == 1.0 and 0.0 == -0.0: the type and the sign keep them apart
+        sign = math.copysign(1.0, value) if isinstance(value, float) else 0
+        key = (cls, type(value), value, sign)
+        node = _interned(key)
+        if node is None:
+            node = _new(cls, key, 0, _IRREDUCIBLE)
+            _set_value(node, value)
+            try:
+                _set_float(node, float(value))
+            except OverflowError:
+                _set_float(node, None)
+        return node
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 1-based
+    __slots__ = ("index",)  # 1-based
+    _fields = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ExprError(f"variable index must be >= 1, got {self.index}")
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
+    def __new__(cls, index: int):
+        key = (cls, index)
+        node = _interned(key)
+        if node is None:
+            if index < 1:
+                raise ExprError(f"variable index must be >= 1, got {index}")
+            node = _new(cls, key, index, _IRREDUCIBLE)
+            _set_index(node, index)
+        return node
 
 
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
+class _Unary(Expr):
+    __slots__ = ("arg",)
+    _fields = ("arg",)
+
+    def __new__(cls, arg: Expr):
+        key = (cls, arg)
+        node = _interned(key)
+        if node is None:
+            node = _new(cls, key, arg._max_var)
+            _set_arg(node, arg)
+        return node
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ln(Expr):
-    arg: Expr
+class Sin(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class Cos(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Ln(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        if isinstance(self.right, Const) and self.right.value == 0:
+    def __new__(cls, left: Expr, right: Expr):
+        key = (cls, left, right)
+        node = _interned(key)
+        if node is None:
+            node = _new(cls, key, max(left._max_var, right._max_var))
+            _set_left(node, left)
+            _set_right(node, right)
+        return node
+
+
+class Add(_Binary):
+    __slots__ = ()
+
+
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+    def __new__(cls, left: Expr, right: Expr):
+        if isinstance(right, Const) and right.value == 0:
             raise ExprError("division by the literal constant 0")
+        return _Binary.__new__(cls, left, right)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+    _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
-            raise ExprError(f"pow exponent must be an integer, got {self.exponent!r}")
+    def __new__(cls, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise ExprError(f"pow exponent must be an integer, got {exponent!r}")
+        key = (cls, base, exponent)
+        node = _interned(key)
+        if node is None:
+            node = _new(cls, key, base._max_var)
+            _set_base(node, base)
+            _set_exponent(node, exponent)
+        return node
 
+
+_set_value = Const.value.__set__
+_set_float = Const._float.__set__
+_set_index = Var.index.__set__
+_set_arg = _Unary.arg.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_base = Pow.base.__set__
+_set_exponent = Pow.exponent.__set__
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
-
-_UNARY = (Neg, Sin, Cos, Exp, Ln)
-_BINARY = (Add, Sub, Mul, Div)
 
 
 # --- rendering ------------------------------------------------------------
@@ -243,70 +340,81 @@ def to_text(e: Expr) -> str:
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index appearing in the tree (0 for constants)."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, _UNARY):
-        return max_var_index(e.arg)
-    if isinstance(e, _BINARY):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    return e._max_var
 
 
 # --- evaluation -----------------------------------------------------------
 
-def evaluate(e: Expr, point: Sequence[float]) -> float:
+def evaluate(e: Expr, point: Sequence[float], memo: dict | None = None) -> float:
     """Numeric value of ``e`` at ``point`` (point[i-1] is x_i).
 
-    Raises DomainError for division by zero or ln of a nonpositive value,
-    identifying the offending subexpression.
+    ``memo`` maps nodes to their values at this point. Certification
+    passes one memo to every witness it evaluates at a point, so a subtree
+    shared by many bracket monomials is evaluated once there. The float
+    operations are those of compile_expr() on the same tree, in the same
+    order.
+
+    Raises DomainError for division by zero, ln of a nonpositive value,
+    a power or exp that overflows or a constant beyond float range,
+    identifying the offending subexpression. A sum or product that
+    overflows gives inf, as in compiled code.
     """
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        if e.index > len(point):
-            raise ExprError(
-                f"variable x{e.index} exceeds point dimension {len(point)}")
-        return float(point[e.index - 1])
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
-    if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, point))
-    if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, point))
-    if isinstance(e, Exp):
+    return _eval(e, point, {} if memo is None else memo)
+
+
+def _eval(e: Expr, x: Sequence[float], memo: dict) -> float:
+    v = memo.get(e)
+    if v is not None:
+        return v
+    t = type(e)
+    if t is Mul:
+        v = _eval(e.left, x, memo) * _eval(e.right, x, memo)
+    elif t is Add:
+        v = _eval(e.left, x, memo) + _eval(e.right, x, memo)
+    elif t is Sub:
+        v = _eval(e.left, x, memo) - _eval(e.right, x, memo)
+    elif t is Var:
+        if e.index > len(x):
+            raise ExprError(f"variable x{e.index} exceeds point dimension {len(x)}")
+        v = float(x[e.index - 1])
+    elif t is Const:
+        v = e._float
+        if v is None:
+            raise DomainError("constant beyond float range", e)
+    elif t is Pow:
+        base = _eval(e.base, x, memo)
         try:
-            return math.exp(evaluate(e.arg, point))
-        except OverflowError:
-            raise DomainError("overflow", e) from None
-    if isinstance(e, Ln):
-        v = evaluate(e.arg, point)
-        if v <= 0.0:
-            raise DomainError(f"ln of nonpositive value {v}", e)
-        return math.log(v)
-    if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
-    if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, point)
-        if denom == 0.0:
-            raise DomainError("division by zero", e)
-        return evaluate(e.left, point) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        try:
-            return base ** e.exponent
+            v = base ** e.exponent
         except ZeroDivisionError:
             raise DomainError("zero raised to a negative power", e) from None
         except OverflowError:
             raise DomainError("overflow", e) from None
-    raise TypeError(f"not an expression node: {e!r}")
+    elif t is Neg:
+        v = -_eval(e.arg, x, memo)
+    elif t is Div:
+        num = _eval(e.left, x, memo)
+        denom = _eval(e.right, x, memo)
+        if denom == 0.0:
+            raise DomainError("division by zero", e)
+        v = num / denom
+    elif t is Sin:
+        v = math.sin(_eval(e.arg, x, memo))
+    elif t is Cos:
+        v = math.cos(_eval(e.arg, x, memo))
+    elif t is Exp:
+        try:
+            v = math.exp(_eval(e.arg, x, memo))
+        except OverflowError:
+            raise DomainError("overflow", e) from None
+    elif t is Ln:
+        v = _eval(e.arg, x, memo)
+        if v <= 0.0:
+            raise DomainError(f"ln of nonpositive value {v}", e)
+        v = math.log(v)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[e] = v
+    return v
 
 
 # --- simplification -------------------------------------------------------
@@ -340,7 +448,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return a
     if _is_const(a, 0):
         return _neg(b)
-    if a == b:
+    if a is b:
         return ZERO
     return Sub(a, b)
 
@@ -381,34 +489,37 @@ def _pow(a: Expr, n: int) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Value-preserving local rewriting: constant folding and the
-    0*a, a+0, a-0, 1*a, a^0, a^1 eliminations. No canonical form."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Neg):
-        return _neg(simplify(e.arg))
-    if isinstance(e, (Sin, Cos, Exp, Ln)):
-        a = simplify(e.arg)
-        if isinstance(a, Const):
-            if isinstance(e, Sin) and a.value == 0:
-                return ZERO
-            if isinstance(e, Cos) and a.value == 0:
-                return ONE
-            if isinstance(e, Exp) and a.value == 0:
-                return ONE
-            if isinstance(e, Ln) and a.value == 1:
-                return ZERO
-        return type(e)(a)
-    if isinstance(e, Add):
-        return _add(simplify(e.left), simplify(e.right))
-    if isinstance(e, Sub):
-        return _sub(simplify(e.left), simplify(e.right))
-    if isinstance(e, Mul):
-        return _mul(simplify(e.left), simplify(e.right))
-    if isinstance(e, Div):
-        return _div(simplify(e.left), simplify(e.right))
-    if isinstance(e, Pow):
-        return _pow(simplify(e.base), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    0*a, a+0, a-0, a-a, 1*a, a^0, a^1 eliminations. No canonical form."""
+    return _simplify(e)
+
+
+def _simplify(e: Expr) -> Expr:
+    done = e._simplified
+    if done is not None:
+        return e if done is _IRREDUCIBLE else done
+    t = type(e)
+    if t is Neg:
+        out = _neg(_simplify(e.arg))
+    elif t is Add:
+        out = _add(_simplify(e.left), _simplify(e.right))
+    elif t is Sub:
+        out = _sub(_simplify(e.left), _simplify(e.right))
+    elif t is Mul:
+        out = _mul(_simplify(e.left), _simplify(e.right))
+    elif t is Div:
+        out = _div(_simplify(e.left), _simplify(e.right))
+    elif t is Pow:
+        out = _pow(_simplify(e.base), e.exponent)
+    elif t in (Sin, Cos, Exp, Ln):
+        a = _simplify(e.arg)
+        if isinstance(a, Const) and a.value == (1 if t is Ln else 0):
+            out = ONE if t in (Cos, Exp) else ZERO
+        else:
+            out = t(a)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _set_simplified(e, _IRREDUCIBLE if out is e else out)
+    return out
 
 
 # --- differentiation ------------------------------------------------------
@@ -420,39 +531,53 @@ def differentiate(e: Expr, var: int) -> Expr:
     """
     if var < 1:
         raise ExprError(f"variable index must be >= 1, got {var}")
-    return simplify(_diff(e, var))
+    return _simplify(_diff(e, var))
 
 
 def _diff(e: Expr, i: int) -> Expr:
-    if isinstance(e, Const):
+    if e._max_var < i:
+        # every rule below maps subtrees free of x_i to ZERO
         return ZERO
-    if isinstance(e, Var):
+    t = type(e)
+    if t is Var:
         return ONE if e.index == i else ZERO
-    if isinstance(e, Neg):
-        return _neg(_diff(e.arg, i))
-    if isinstance(e, Sin):
-        return _mul(Cos(e.arg), _diff(e.arg, i))
-    if isinstance(e, Cos):
-        return _neg(_mul(Sin(e.arg), _diff(e.arg, i)))
-    if isinstance(e, Exp):
-        return _mul(e, _diff(e.arg, i))
-    if isinstance(e, Ln):
-        return _div(_diff(e.arg, i), e.arg)
-    if isinstance(e, Add):
-        return _add(_diff(e.left, i), _diff(e.right, i))
-    if isinstance(e, Sub):
-        return _sub(_diff(e.left, i), _diff(e.right, i))
-    if isinstance(e, Mul):
-        return _add(_mul(_diff(e.left, i), e.right), _mul(e.left, _diff(e.right, i)))
-    if isinstance(e, Div):
+    derivs = e._derivs
+    if derivs is None:
+        derivs = {}
+        _set_derivs(e, derivs)
+    else:
+        d = derivs.get(i)
+        if d is not None:
+            return d
+    if t is Neg:
+        d = _neg(_diff(e.arg, i))
+    elif t is Sin:
+        d = _mul(Cos(e.arg), _diff(e.arg, i))
+    elif t is Cos:
+        d = _neg(_mul(Sin(e.arg), _diff(e.arg, i)))
+    elif t is Exp:
+        d = _mul(e, _diff(e.arg, i))
+    elif t is Ln:
+        d = _div(_diff(e.arg, i), e.arg)
+    elif t is Add:
+        d = _add(_diff(e.left, i), _diff(e.right, i))
+    elif t is Sub:
+        d = _sub(_diff(e.left, i), _diff(e.right, i))
+    elif t is Mul:
+        d = _add(_mul(_diff(e.left, i), e.right), _mul(e.left, _diff(e.right, i)))
+    elif t is Div:
         num = _sub(_mul(_diff(e.left, i), e.right), _mul(e.left, _diff(e.right, i)))
-        return _div(num, _pow(e.right, 2))
-    if isinstance(e, Pow):
+        d = _div(num, _pow(e.right, 2))
+    elif t is Pow:
         if e.exponent == 0:
-            return ZERO
-        inner = _mul(Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1))
-        return _mul(inner, _diff(e.base, i))
-    raise TypeError(f"not an expression node: {e!r}")
+            d = ZERO
+        else:
+            inner = _mul(Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1))
+            d = _mul(inner, _diff(e.base, i))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    derivs[i] = d
+    return d
 
 
 # --- compilation ----------------------------------------------------------
@@ -464,7 +589,9 @@ _NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math
 
 def _pycode(e: Expr) -> str:
     if isinstance(e, Const):
-        return repr(float(e.value))
+        # parenthesized when negative: -1.0**2 would read as -(1.0**2)
+        text = repr(float(e.value))
+        return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
         return f"_x[{e.index - 1}]"
     if isinstance(e, Neg):
@@ -493,6 +620,9 @@ def _pycode(e: Expr) -> str:
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """Compile a tree to a fast float function of the state vector.
 
+    For V and the integrator's right-hand sides, small trees evaluated at
+    many states; certification evaluates its many larger trees once per
+    point with evaluate() instead, which costs less than compiling them.
     Same float semantics as evaluate() on the same tree shape, but on
     Python floats domain violations surface as ZeroDivisionError,
     ValueError or OverflowError from the runtime.

@@ -68,6 +68,35 @@ def test_non_finite_point_or_value_rejected(dblint, point):
         certify_point(dblint, point)
 
 
+# gV = 2 x1^2 / (x1^2 + x2^2 - 1) has a pole on the unit circle
+POLE_TEXT = 'dim = 2\nf = ["x2", "-x1"]\ng = ["x1/(x1^2+x2^2-1)", "0"]\nV = "x1^2+x2^2"\n'
+# gV = 2 x1 x2^4 overflows to inf at x2 = 1e100, where V is still finite
+OVERFLOW_TEXT = 'dim = 2\nf = ["x2", "-x1"]\ng = ["x2*x2*x2*x2", "0"]\nV = "x1^2+x2^2"\n'
+# gV = 0 everywhere and fV = 2 x1 x2 / (x1 - 1) has a pole at x1 = 1
+LATE_POLE_TEXT = 'dim = 2\nf = ["x2/(x1-1)", "0"]\ng = ["x2", "-x1"]\nV = "x1^2+x2^2"\n'
+
+
+@pytest.mark.parametrize("text,point,message", [
+    (POLE_TEXT, (0.6, 0.8), r"witness gV leaves its domain \(division by zero in "),
+    (POLE_TEXT, (0.0, 1.0), r"witness gV leaves its domain \(division by zero in "),
+    (OVERFLOW_TEXT, (1.0, 1e100), r"witness gV is inf at x = \(1\.0, 1e\+100\)"),
+    (LATE_POLE_TEXT, (1.0, 0.5), r"witness fV leaves its domain .* at x = \(1\.0, 0\.5\)"),
+], ids=["pole", "pole-zero-over-zero", "overflow", "pole-in-fV"])
+def test_non_finite_witness_rejected(text, point, message):
+    """A witness that is not a finite number certifies nothing: at a pole
+    (0.6, 0.8) used to give gV = inf (Transversal) and (0, 1) gV = nan,
+    which passed as zero."""
+    sysd = parse_system_file(text).build()
+    with pytest.raises(ValueError, match=message):
+        certify_point(sysd, point)
+
+
+def test_grid_with_a_non_finite_witness_rejected():
+    sysd = parse_system_file(POLE_TEXT).build()
+    with pytest.raises(ValueError, match="witness gV leaves its domain"):
+        certify_grid(sysd, [(-1.0, 1.0), (-1.0, 1.0)], [3, 3])
+
+
 @pytest.mark.parametrize("n_max", [N_MAX_LIMIT + 1, -1])
 def test_n_max_outside_range_rejected(dblint, n_max):
     with pytest.raises(ValueError, match="n_max must be between 0 and 6"):

@@ -225,6 +225,27 @@ def test_options_a_subcommand_does_not_read_are_rejected(systems_dir, tmp_path, 
     assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--at", "0.6,0.8"],
+    ["certify", "--at", "0,1"],
+    ["certify-grid", "--box=-1:1,-1:1", "--res", "3,3"],
+])
+def test_non_finite_witness_exits_one(tmp_path, argv):
+    """gV has a pole on the unit circle: the points on it are errors, not
+    certificates, and no numpy warning reaches stderr."""
+    pole = tmp_path / "pole.sys"
+    pole.write_text('dim = 2\nf = ["x2", "-x1"]\ng = ["x1/(x1^2+x2^2-1)", "0"]\n'
+                    'V = "x1^2+x2^2"\n')
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sdstab", *argv, "--system", str(pole),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: witness gV leaves its domain "), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 def test_literal_beyond_float_range_exits_one(tmp_path):
     big = tmp_path / "big.sys"
     big.write_text('dim = 2\nf = ["x2", "0"]\ng = ["0", "1"]\nV = "1e400*x1^2+x2^2"\n')

@@ -1,15 +1,22 @@
 import math
+import os
+import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from conftest import DEEP_LINEAR_TEXT
+from sdstab import symcalc
 from sdstab.symcalc import (
-    Add, Const, DomainError, Div, ExprError, Mul, Neg, ParseError, Pow,
-    Sin, Sub, Var, compile_expr, differentiate, evaluate, max_var_index,
-    parse, simplify, to_text,
+    Add, Const, Cos, DomainError, Div, Exp, ExprError, Ln, Mul, Neg, ParseError,
+    Pow, Sin, Sub, Var, ONE, ZERO, _add, _div, _mul, _neg, _pow, _sub,
+    compile_expr, differentiate, evaluate, max_var_index, parse, simplify, to_text,
 )
 
 
@@ -111,6 +118,13 @@ def test_compile_matches_evaluate_on_non_finite_constants(value):
     nan_sum = Add(Var(1), Const(math.nan))
     assert math.isnan(compile_expr(nan_sum)((2.0,)))
     assert math.isnan(evaluate(nan_sum, (2.0,)))
+
+
+def test_compile_raises_a_negative_constant_to_a_power():
+    for value in (Fraction(-1), -0.5, -0.0):
+        e = Pow(Const(value), 2)
+        assert compile_expr(e)(()) == float(value) ** 2 == evaluate(e, ())
+    assert math.copysign(1.0, compile_expr(Pow(Const(-0.0), 3))(())) == -1.0
 
 
 # --- simplification ---------------------------------------------------------------
@@ -248,3 +262,177 @@ def test_division_by_literal_zero_at_construction():
 def test_pow_requires_integer_exponent():
     with pytest.raises(ExprError):
         Pow(Var(1), 1.5)
+
+
+# --- interning and memos --------------------------------------------------------------
+
+def _plain_simplify(e):
+    """The simplification rules without memos: the reference."""
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Neg):
+        return _neg(_plain_simplify(e.arg))
+    if isinstance(e, (Sin, Cos, Exp, Ln)):
+        a = _plain_simplify(e.arg)
+        if isinstance(a, Const):
+            if isinstance(e, Sin) and a.value == 0:
+                return ZERO
+            if isinstance(e, Cos) and a.value == 0:
+                return ONE
+            if isinstance(e, Exp) and a.value == 0:
+                return ONE
+            if isinstance(e, Ln) and a.value == 1:
+                return ZERO
+        return type(e)(a)
+    if isinstance(e, Add):
+        return _add(_plain_simplify(e.left), _plain_simplify(e.right))
+    if isinstance(e, Sub):
+        return _sub(_plain_simplify(e.left), _plain_simplify(e.right))
+    if isinstance(e, Mul):
+        return _mul(_plain_simplify(e.left), _plain_simplify(e.right))
+    if isinstance(e, Div):
+        return _div(_plain_simplify(e.left), _plain_simplify(e.right))
+    return _pow(_plain_simplify(e.base), e.exponent)
+
+
+def _plain_diff(e, i):
+    """The derivative rules without memos: the reference."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.index == i else ZERO
+    if isinstance(e, Neg):
+        return _neg(_plain_diff(e.arg, i))
+    if isinstance(e, Sin):
+        return _mul(Cos(e.arg), _plain_diff(e.arg, i))
+    if isinstance(e, Cos):
+        return _neg(_mul(Sin(e.arg), _plain_diff(e.arg, i)))
+    if isinstance(e, Exp):
+        return _mul(e, _plain_diff(e.arg, i))
+    if isinstance(e, Ln):
+        return _div(_plain_diff(e.arg, i), e.arg)
+    if isinstance(e, Add):
+        return _add(_plain_diff(e.left, i), _plain_diff(e.right, i))
+    if isinstance(e, Sub):
+        return _sub(_plain_diff(e.left, i), _plain_diff(e.right, i))
+    if isinstance(e, Mul):
+        return _add(_mul(_plain_diff(e.left, i), e.right),
+                    _mul(e.left, _plain_diff(e.right, i)))
+    if isinstance(e, Div):
+        num = _sub(_mul(_plain_diff(e.left, i), e.right),
+                   _mul(e.left, _plain_diff(e.right, i)))
+        return _div(num, _pow(e.right, 2))
+    if e.exponent == 0:
+        return ZERO
+    inner = _mul(Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1))
+    return _mul(inner, _plain_diff(e.base, i))
+
+
+def _every_kind(e):
+    """e and trees that put it under each node type _exprs never draws."""
+    return [e, Div(Cos(e), Exp(Neg(e))), Ln(Mul(e, e))]
+
+
+def _rebuild(e):
+    """The same tree built again from fresh constructor arguments."""
+    if isinstance(e, Const):
+        return Const(Fraction(e.value.numerator, e.value.denominator))
+    if isinstance(e, Var):
+        return Var(int(e.index))
+    if isinstance(e, Pow):
+        return Pow(_rebuild(e.base), e.exponent)
+    if isinstance(e, (Neg, Sin, Cos, Exp, Ln)):
+        return type(e)(_rebuild(e.arg))
+    return type(e)(_rebuild(e.left), _rebuild(e.right))
+
+
+def _nodes(e):
+    yield e
+    for name in type(e)._fields:
+        child = getattr(e, name)
+        if isinstance(child, symcalc.Expr):
+            yield from _nodes(child)
+
+
+@given(e=_exprs(3))
+@settings(max_examples=120, deadline=None)
+def test_memoized_calculus_matches_the_plain_rules(e):
+    for tree in _every_kind(e):
+        assert simplify(tree) is _plain_simplify(tree)
+        for i in (1, 2, 3):
+            # twice: the second call reads the memos the first one left
+            assert differentiate(tree, i) is _plain_simplify(_plain_diff(tree, i))
+            assert differentiate(tree, i) is _plain_simplify(_plain_diff(tree, i))
+        assert max_var_index(tree) == max(
+            [v.index for v in _nodes(tree) if isinstance(v, Var)], default=0)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@given(trees=st.lists(_exprs(2), min_size=1, max_size=4),
+       point=st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+@settings(max_examples=120, deadline=None)
+def test_shared_memo_evaluates_like_compiled_code(trees, point):
+    """One memo across trees and their derivatives, as certification uses
+    it at a point, gives compile_expr's values bit for bit."""
+    memo = {}
+    for e in trees:
+        for tree in [*_every_kind(e), differentiate(e, 1), differentiate(e, 2)]:
+            try:
+                expected = compile_expr(tree)(point)
+            except (ArithmeticError, ValueError):
+                with pytest.raises(DomainError):
+                    evaluate(tree, point, memo)
+                continue
+            assert _bits(evaluate(tree, point, memo)) == _bits(expected)
+
+
+@given(e=_exprs(3))
+@settings(max_examples=80, deadline=None)
+def test_independent_builds_are_one_object(e):
+    assert _rebuild(e) is e
+    assert simplify(_rebuild(e)) is simplify(e)
+
+
+def test_constants_are_interned_by_exact_value():
+    assert Const(Fraction(1)) is ONE
+    assert Const(1.0) is not ONE
+    assert Const(-0.0) is not Const(0.0)
+    assert math.copysign(1.0, evaluate(Const(-0.0), ())) == -1.0
+    assert parse("x1^2+sin(x2)", 2) is parse("x1^2 + sin(x2)", 2)
+
+
+def test_nodes_are_immutable():
+    e = Add(Var(1), Var(2))
+    with pytest.raises(AttributeError):
+        e.left = Var(2)
+    assert Add(Var(1), Var(2)) is e
+
+
+def test_a_dropped_system_leaves_no_node_in_the_intern_table():
+    """The table holds nodes only weakly: once a system and what was built
+    for it are gone, none of its nodes stay, so nothing of one system's
+    work carries over to the next. A fresh interpreter, because a node that
+    another test keeps alive would keep the derivatives it memoized."""
+    script = f"""
+import gc
+from sdstab import symcalc
+from sdstab.certify import certify_point
+from sdstab.cli import parse_system_file
+before = set(symcalc._TABLE)
+sysd = parse_system_file({DEEP_LINEAR_TEXT!r}).build()
+certify_point(sysd, (0.6, -0.8, 0.5), n_max=3)
+built = len(symcalc._TABLE) - len(before)
+del sysd
+gc.collect()
+print(built, len(set(symcalc._TABLE) - before))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(symcalc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    built, left = map(int, done.stdout.split())
+    assert built > 100
+    assert left == 0
