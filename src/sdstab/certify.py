@@ -188,6 +188,19 @@ def _exact_order_products(sys: SystemDef, N: int) -> tuple[tuple[LieWord, ...], 
     return products
 
 
+def _adjoint_words() -> tuple[tuple[LieWord, LieWord], ...]:
+    words = [(WORD_F, WORD_G)]
+    for _ in range(N_MAX_LIMIT):
+        adg_word, adf_word = words[-1]
+        words.append((bracket_word(adg_word, WORD_G), bracket_word(adf_word, WORD_F)))
+    return tuple(words)
+
+
+# _ADJOINT_WORDS[N]: the words of ad_g^N(f) = [...[f,g],...,g] and
+# ad_f^N(g) = [...[g,f],...,f], built once instead of on every certification
+_ADJOINT_WORDS = _adjoint_words()
+
+
 # --- certificates ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -250,7 +263,6 @@ def certify_point(
     if fv < -tol:
         return Certificate(Case.ARTSTEIN_SONTAG, 0, witnesses, tau_zero, tol)
 
-    adg_word, adf_word = WORD_F, WORD_G
     for N in range(1, n_max + 1):
         # vanishing conditions, incremental in N: f^N V and the bracket
         # monomials of total order exactly N; a failure here persists for
@@ -269,8 +281,7 @@ def certify_point(
                     Case.INCONCLUSIVE, 0, witnesses, tau_zero, tol,
                     detail=f"({name}V)(x) = {v} is not zero at tolerance {tol}")
 
-        # the N-fold adjoints [...[f,g],...,g] and [...[g,f],...,f]
-        adg_word, adf_word = bracket_word(adg_word, WORD_G), bracket_word(adf_word, WORD_F)
+        adg_word, adf_word = _ADJOINT_WORDS[N]
         name = f"f^{N + 1}V"
         fn1 = witnesses[name] = value((WORD_F,) * (N + 1), name)
         if fn1 < -tol:

@@ -175,10 +175,18 @@ def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
               sample_dt: float | None = None) -> Trajectory:
     """Integrate the program from x0, stepping exactly onto segment switch
     times, with dense output every sample_dt (default: duration/100)."""
-    x = np.asarray(x0, dtype=float)
-    total = program.duration
     if sample_dt is None:
-        sample_dt = total / 100.0
+        sample_dt = program.duration / 100.0
+    times, states, events, v_sup = _integrate_program(sys, x0, program, tol, sample_dt)
+    return _assemble(sys, times, states, [], events, v_sup)
+
+
+def _integrate_program(sys: SystemDef, x0, program: ControlProgram, tol: float,
+                       sample_dt: float):
+    """The samples of integrate() as lists of times and states from 0, the
+    switch times between segments, and v_sup, without the V values of the
+    samples that integrate() adds (the closed loop assembles its run once)."""
+    x = np.asarray(x0, dtype=float)
     times = [0.0]
     states = [x.copy()]
     events = []
@@ -203,7 +211,7 @@ def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
             states.append(y)
         t_base += duration
         events.append(t_base)
-    return _assemble(sys, times, states, [], events[:-1], v_sup)
+    return times, states, events[:-1], v_sup
 
 
 def _interior_grid(duration: float, sample_dt: float) -> list[float]:
@@ -337,18 +345,19 @@ def run_closed_loop(
         sample_dt = (t_b - t_a) / _SAMPLES_PER_INTERVAL
         for idx, step in enumerate(planned):
             base_v = checkpoints[-1][2]
-            piece = integrate(sys, x, step.program, tol=tol, sample_dt=sample_dt)
-            for s, y in zip(piece.times[1:], piece.states[1:]):
+            piece_times, piece_states, piece_events, piece_sup = _integrate_program(
+                sys, x, step.program, tol, sample_dt)
+            for s, y in zip(piece_times[1:], piece_states[1:]):
                 times.append(t_cursor + s)
                 states.append(y)
-            for e in piece.events:
+            for e in piece_events:
                 events.append(t_cursor + e)
             t_cursor += step.program.duration
             events.append(t_cursor)
-            x = piece.states[-1].copy()
-            v_sup = max(v_sup, piece.v_sup)
+            x = piece_states[-1].copy()
+            v_sup = max(v_sup, piece_sup)
             if base_v > 0:
-                overshoot = max(overshoot, piece.v_sup / base_v)
+                overshoot = max(overshoot, piece_sup / base_v)
             is_last = idx == len(planned) - 1
             if not (clamped and is_last):
                 checkpoints.append((t_cursor, x.copy(), sys.v_at(x)))

@@ -617,18 +617,26 @@ def _pycode(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile a tree to a fast float function of the state vector.
+def compile_expr(
+        e: Expr | Sequence[Expr]) -> Callable[[Sequence[float]], float | list[float]]:
+    """Compile a tree to a fast float function of the state vector, or a
+    sequence of trees to one function returning the list of their values.
 
     For V and the integrator's right-hand sides, small trees evaluated at
     many states; certification evaluates its many larger trees once per
     point with evaluate() instead, which costs less than compiling them.
     Same float semantics as evaluate() on the same tree shape, but on
     Python floats domain violations surface as ZeroDivisionError,
-    ValueError or OverflowError from the runtime.
+    ValueError or OverflowError from the runtime. A list is one list display
+    evaluated left to right, so it raises what the first failing tree
+    would raise on its own.
     """
+    if isinstance(e, Expr):
+        body = _pycode(e)
+    else:
+        body = "[" + ", ".join(_pycode(c) for c in e) + "]"
     # one globals dict for every compiled tree: the functions only read it
-    return eval(f"lambda _x: {_pycode(e)}", _NAMESPACE)
+    return eval(f"lambda _x: {body}", _NAMESPACE)
 
 
 # --- parsing --------------------------------------------------------------

@@ -99,9 +99,16 @@ class StepResult:
 
 
 class SynthesisFailed(RuntimeError):
+    """No candidate of the search grids gave a verified step. ``best_drop``
+    is the largest V drop among the candidates whose simulation reached its
+    end within 2 V(x0), or None when none did: a candidate is abandoned as
+    soon as V exceeds that bound, so it has no end state. ``simulations``
+    counts every candidate tried."""
+
     def __init__(self, message: str, best_drop: float | None = None,
                  simulations: int = 0, certificate: Certificate | None = None):
-        extra = f" (best V-drop found: {best_drop}, simulations: {simulations})"
+        extra = (f" (best V-drop within the 2*V bound: {best_drop}, "
+                 f"simulations: {simulations})")
         super().__init__(message + extra)
         self.best_drop = best_drop
         self.simulations = simulations
@@ -117,22 +124,34 @@ class CertificateInconclusive(RuntimeError):
 
 # --- simulation helpers -------------------------------------------------------
 
+class _BoundExceeded(Exception):
+    """V passed flow_endpoint's v_limit; the simulation stops there."""
+
+
 def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
-                  tol: float = 1e-10) -> tuple[np.ndarray, float]:
+                  tol: float = 1e-10, *,
+                  v_limit: float = math.inf) -> tuple[np.ndarray, float]:
     """Endpoint and max-V along a program. V is tracked at every accepted
     step and on the continuous extension inside it, so that it is sampled at
     least every duration/16 of each segment while the step size follows the
-    error control alone."""
+    error control alone. Raises _BoundExceeded at the first sample (x0
+    included) where V exceeds ``v_limit``, so that a caller that rejects
+    such a program does not pay for the rest of it."""
     y = np.asarray(x0, dtype=float)
     v_at = sys.v_at
     v_max = v_at(y)
+    if v_max > v_limit:
+        raise _BoundExceeded
 
     def track(*point):
-        # called as on_step(t, state) and as on_dense(state)
+        # called as on_step(t, state) and as on_dense(state); a sample at
+        # or below v_max is within the limit, since v_max is
         nonlocal v_max
         v = v_at(point[-1])
         if v > v_max:
             v_max = v
+            if v > v_limit:
+                raise _BoundExceeded
 
     for value, duration in program.segments:
         _, y = integrate_segment(
@@ -342,8 +361,10 @@ def synthesize_step(
     for rho, u1, program in _candidates(cert, xi):
         simulations += 1
         try:
-            end, v_max = flow_endpoint(sys, x0, program, tol)
-        except IntegrationError:
+            # a sample above 2 v0 fails the test v_max <= 2 v0 below, so
+            # stopping at it changes no outcome
+            end, v_max = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
+        except (IntegrationError, _BoundExceeded):
             continue
         drop = v0 - sys.v_at(end)
         if best is None or drop > best:

@@ -286,9 +286,10 @@ def test_shared_suffixes_match_uncached_chains(name, batch):
 def test_certification_builds_each_derivative_once(monkeypatch):
     """On the deep-linear system a point at n_max 5 goes through every
     bracket monomial: each one is built once from the scalar of its suffix,
-    and each gradient and Jacobian is differentiated once."""
+    and each gradient and Jacobian is differentiated once. The adjoint
+    words ad_g^N(f) and ad_f^N(g) are built at import, not per call."""
     sysd = parse_system_file(DEEP_LINEAR_TEXT).build()
-    calls = {"directional_derivative": 0, "differentiate": 0}
+    calls = {"directional_derivative": 0, "differentiate": 0, "bracket_word": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -300,10 +301,12 @@ def test_certification_builds_each_derivative_once(monkeypatch):
 
     counting(certify, "directional_derivative")
     counting(lie, "differentiate")
+    counting(certify, "bracket_word")
     cert = certify_point(sysd, (0.6, -0.8, 0.5), n_max=5)
     assert cert.case is Case.INCONCLUSIVE
     # the 391 monomials of order <= 5 and gV, f^6V, ad_g^5(f)V, ad_f^5(g)V
-    assert calls == {"directional_derivative": 395, "differentiate": 672}
+    assert calls == {"directional_derivative": 395, "differentiate": 672,
+                     "bracket_word": 0}
     scalars = [v for k, v in sysd._fns.items()
                if isinstance(k, tuple) and k[0] == "scalar"]
     fields = [v for k, v in sysd._fns.items() if isinstance(k, LieWord)]
@@ -315,4 +318,4 @@ def test_certification_builds_each_derivative_once(monkeypatch):
     calls.update(directional_derivative=0, differentiate=0)
     again = certify_point(sysd, (-0.3, 0.2, 0.9), n_max=5)
     assert again.case is Case.INCONCLUSIVE
-    assert calls == {"directional_derivative": 0, "differentiate": 0}
+    assert calls == {"directional_derivative": 0, "differentiate": 0, "bracket_word": 0}

@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 
 from conftest import DEEP_LINEAR_TEXT
 from sdstab import symcalc
+from sdstab.lie import VectorField
 from sdstab.symcalc import (
     Add, Const, Cos, DomainError, Div, Exp, ExprError, Ln, Mul, Neg, ParseError,
     Pow, Sin, Sub, Var, ONE, ZERO, _add, _div, _mul, _neg, _pow, _sub,
@@ -387,6 +388,45 @@ def test_shared_memo_evaluates_like_compiled_code(trees, point):
                     evaluate(tree, point, memo)
                 continue
             assert _bits(evaluate(tree, point, memo)) == _bits(expected)
+
+
+def _values_or_error(fn, point):
+    try:
+        return [_bits(v) for v in fn(point)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@given(trees=st.lists(_exprs(2), min_size=2, max_size=2),
+       kinds=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       point=st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+@settings(max_examples=120, deadline=None)
+def test_compiled_field_is_its_compiled_components(trees, kinds, point):
+    """The field's one compiled call gives what compiling each component
+    alone gives, bit for bit, or raises the same exception type."""
+    comps = tuple(_every_kind(e)[k] for e, k in zip(trees, kinds))
+    alone = [compile_expr(c) for c in comps]
+    assert (_values_or_error(VectorField(comps, 2).compiled(), point)
+            == _values_or_error(lambda x: [fn(x) for fn in alone], point))
+
+
+@pytest.mark.parametrize("texts,point,expected", [
+    (["-x1", "x2*0"], (0.0, -1.0), [-0.0, -0.0]),
+    (["x2", "1/x1"], (0.0, 1.0), ZeroDivisionError),
+    (["x1^9", "x2"], (1e40, 1.0), OverflowError),
+])
+def test_compiled_field_keeps_signed_zeros_and_exception_types(texts, point, expected):
+    field = VectorField.from_strings(texts, 2)
+    fused = field.compiled()
+    alone = [compile_expr(c) for c in field.components]
+    if isinstance(expected, list):
+        assert [_bits(v) for v in fused(point)] == [_bits(v) for v in expected]
+        assert [_bits(fn(point)) for fn in alone] == [_bits(v) for v in expected]
+    else:
+        with pytest.raises(expected):
+            fused(point)
+        with pytest.raises(expected):
+            [fn(point) for fn in alone]
 
 
 @given(e=_exprs(3))

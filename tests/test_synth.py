@@ -5,8 +5,10 @@ import pytest
 
 from sdstab.certify import Case, SystemDef, certify_point
 from sdstab.lie import ScalarField, VectorField
+from sdstab._rk import IntegrationError
 from sdstab.synth import (
-    CertificateInconclusive, ControlProgram, SynthesisFailed, _candidates,
+    CertificateInconclusive, ControlProgram, StepResult, SynthesisFailed,
+    _BoundExceeded, _candidates,
     cbh_residual, composed_flow, flow_endpoint, m_derivative_estimates,
     m_of_t, synthesize_step, two_phase_program,
 )
@@ -226,6 +228,96 @@ def test_step_p1(drift_decay):
 def test_inconclusive_passthrough(inert_system):
     with pytest.raises(CertificateInconclusive):
         synthesize_step(inert_system, [1.0, 0.0], 0.5)
+
+
+def _reference_search(sysd, x0, xi, tol=1e-10):
+    """synthesize_step's search with every candidate simulated to its end:
+    the StepResult, or the number of candidates and the best drop among
+    those that stayed within 2 V(x0) when none qualifies."""
+    x0 = np.asarray(x0, dtype=float)
+    v0 = sysd.v_value(x0)
+    cert = certify_point(sysd, x0)
+    simulations, best = 0, None
+    for rho, u1, program in _candidates(cert, xi):
+        simulations += 1
+        try:
+            end, v_max = flow_endpoint(sysd, x0, program, tol)
+        except IntegrationError:
+            continue
+        if v_max > 2.0 * v0:
+            continue
+        drop = v0 - sysd.v_at(end)
+        if drop > v0 * max(100.0 * tol, 1e-12):
+            return StepResult(program, cert, rho, u1, drop, v_max / v0,
+                              tuple(float(v) for v in end))
+        best = drop if best is None else max(best, drop)
+    return simulations, best
+
+
+@pytest.mark.parametrize("name,x0", [
+    ("dblint", (0.6, 0.8)), ("dblint", (1.0, 0.0)), ("dblint", (0.001, 0.0)),
+    ("planar_cubic", (0.0006, 0.0008)), ("planar_cubic", (0.01, 0.0)),
+    ("rotation3", (0.6, 0.5, 0.0)), ("rotation3", (0.0006, 0.0005, 0.0)),
+    ("rotation3", (1.0, 0.0, 0.0)), ("rotation3", (0.001, 0.0, 0.0)),
+])
+def test_stopping_at_the_bound_changes_no_step(request, name, x0):
+    """Abandoning a candidate once V passes 2 V(x0) picks the candidate, end
+    state and ratio that simulating every candidate to its end picks
+    (Transversal, P2, P3 and P4 points, from radius 1 down to 0.001)."""
+    sysd = request.getfixturevalue(name)
+    expected = _reference_search(sysd, x0, 0.5)
+    assert isinstance(expected, StepResult)
+    assert synthesize_step(sysd, x0, 0.5) == expected
+
+
+def test_best_drop_counts_only_candidates_within_the_bound(planar_cubic):
+    # at radius 0.001 no P3 candidate drops V by the floor; the largest
+    # drops come from candidates that break the bound
+    with pytest.raises(SynthesisFailed, match="within the 2\\*V bound") as err:
+        synthesize_step(planar_cubic, (0.001, 0.0), 0.5)
+    simulations, best = _reference_search(planar_cubic, (0.001, 0.0), 0.5)
+    assert err.value.certificate.case is Case.P3
+    assert (err.value.simulations, err.value.best_drop) == (simulations, best)
+
+
+def _recording(sysd):
+    """A copy of the system that records every V it evaluates and counts
+    its rhs evaluations."""
+    copy = SystemDef(sysd.f, sysd.g, sysd.V)
+    vs, rhs_calls, v_at, rhs = [], [0], copy.v_at, copy.rhs
+
+    def recorded_v(x):
+        vs.append(v_at(x))
+        return vs[-1]
+
+    def counted_rhs(u):
+        fn = rhs(u)
+
+        def counted(x):
+            rhs_calls[0] += 1
+            return fn(x)
+        return counted
+
+    copy.v_at, copy.rhs = recorded_v, counted_rhs
+    return copy, vs, rhs_calls
+
+
+def test_flow_endpoint_stops_at_the_first_sample_above_the_limit(peak_inside_step):
+    # V rises from 0.01 to 0.25 along this program
+    program = ControlProgram(((-1.0, 2.0),))
+    full, full_vs, full_calls = _recording(peak_inside_step)
+    flow_endpoint(full, [0.0, 1.0], program)
+    cut, cut_vs, cut_calls = _recording(peak_inside_step)
+    with pytest.raises(_BoundExceeded):
+        flow_endpoint(cut, [0.0, 1.0], program, v_limit=0.1)
+    first_above = next(i for i, v in enumerate(full_vs) if v > 0.1)
+    assert cut_vs == full_vs[:first_above + 1]
+    assert 0 < cut_calls[0] < full_calls[0]
+    # the start counts too, before any rhs evaluation
+    start, _, start_calls = _recording(peak_inside_step)
+    with pytest.raises(_BoundExceeded):
+        flow_endpoint(start, [0.0, 1.0], program, v_limit=0.005)
+    assert start_calls[0] == 0
 
 
 def test_grids_exhausted_reports_best(dblint):
