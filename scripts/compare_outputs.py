@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Check that the working tree reproduces a base commit's acceptance runs
-byte for byte.
+"""Byte-compare the working tree's outputs with those of a base commit.
 
     python3 scripts/compare_outputs.py --base HEAD~1
 
-Checks REF out into a temporary git worktree, runs the four acceptance
-simulations (dblint with --horizon 50 and rotation3 with --horizon 100,
-each under uniform:0.5 and explicit:0,0.1,0.7,0.8,2.0+0.5) with each
-tree's own sources and system files, and compares their trajectory.csv,
-report.json and stdout. The base and working-tree runs of one simulation
-run side by side, one process each. Prints one line per simulation and
-exits 1 if any output differs or any run fails.
+Checks REF out into a temporary git worktree and runs, with each tree's own
+sources and system files:
+
+- the four acceptance simulations (dblint with --horizon 50 and rotation3
+  with --horizon 100, each under uniform:0.5 and
+  explicit:0,0.1,0.7,0.8,2.0+0.5), comparing trajectory.csv and
+  report.json;
+- `sdstab step` at one point of each synthesis case: dblint 0.6,0.8
+  (Transversal), dblint 1,0 (P2), planar_cubic 0.01,0 (P3) and
+  rotation3 1,0,0 (P4), comparing step_program.csv;
+- `sdstab certify-grid` on rotation3 over [-1, 1]^3 at 11^3 points,
+  comparing certificates.csv;
+
+and the stdout of each. The base and working-tree runs of one command run
+side by side, one process each. Prints one line per command and exits 1 if
+any output differs or any run fails.
 """
 
 from __future__ import annotations
@@ -25,25 +33,38 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PARTITIONS = ("uniform:0.5", "explicit:0,0.1,0.7,0.8,2.0+0.5")
 SYSTEMS = (("dblint", "1,0", "50"), ("rotation3", "1,0,0", "100"))
-RUNS = tuple((name, x0, horizon, partition)
-             for name, x0, horizon in SYSTEMS for partition in PARTITIONS)
-COMPARED = ("trajectory.csv", "report.json")
+STEPS = (("dblint", "0.6,0.8"), ("dblint", "1,0"), ("planar_cubic", "0.01,0"),
+         ("rotation3", "1,0,0"))
+# (label, sdstab arguments, output files compared besides stdout)
+RUNS = (
+    tuple((f"{name} {partition} --horizon {horizon}",
+           ("simulate", "--system", f"systems/{name}.sys", "--x0", x0,
+            "--partition", partition, "--horizon", horizon),
+           ("trajectory.csv", "report.json"))
+          for name, x0, horizon in SYSTEMS for partition in PARTITIONS)
+    + tuple((f"step {name} --at {point}",
+             ("step", "--system", f"systems/{name}.sys", "--at", point),
+             ("step_program.csv",))
+            for name, point in STEPS)
+    + (("certify-grid rotation3 11^3",
+        ("certify-grid", "--system", "systems/rotation3.sys",
+         "--box=-1:1,-1:1,-1:1", "--res", "11,11,11"),
+        ("certificates.csv",)),))
 
 
-def _start(tree: Path, out: Path, name: str, x0: str, horizon: str, partition: str):
+def _start(tree: Path, out: Path, args: tuple[str, ...]):
     # relative paths from the tree's root, so that no output names the tree
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
-        [sys.executable, "-m", "sdstab", "simulate", "--system", f"systems/{name}.sys",
-         "--x0", x0, "--partition", partition, "--horizon", horizon, "--out", str(out)],
+        [sys.executable, "-m", "sdstab", *args, "--out", str(out)],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def _outputs(proc, out: Path) -> dict[str, bytes]:
+def _outputs(proc, out: Path, compared: tuple[str, ...]) -> dict[str, bytes]:
     stdout, stderr = proc.communicate()
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode}: {stderr.decode(errors='replace')}")
-    files = {f: (out / f).read_bytes() for f in COMPARED}
+    files = {f: (out / f).read_bytes() for f in compared}
     files["stdout"] = stdout
     return files
 
@@ -58,14 +79,13 @@ def _first_difference(a: bytes, b: bytes) -> str:
 
 def compare(base: Path, scratch: Path) -> bool:
     same = True
-    for name, x0, horizon, partition in RUNS:
-        label = f"{name} {partition} --horizon {horizon}"
-        outs = {side: scratch / side / f"{name}-{partition.split(':')[0]}"
-                for side in ("base", "work")}
-        procs = {"base": _start(base, outs["base"], name, x0, horizon, partition),
-                 "work": _start(ROOT, outs["work"], name, x0, horizon, partition)}
+    for index, (label, args, compared) in enumerate(RUNS):
+        outs = {side: scratch / side / f"run{index}" for side in ("base", "work")}
+        procs = {"base": _start(base, outs["base"], args),
+                 "work": _start(ROOT, outs["work"], args)}
         try:
-            results = {side: _outputs(proc, outs[side]) for side, proc in procs.items()}
+            results = {side: _outputs(proc, outs[side], compared)
+                       for side, proc in procs.items()}
         except RuntimeError as exc:
             for proc in procs.values():
                 proc.kill()

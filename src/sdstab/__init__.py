@@ -12,7 +12,7 @@ from .symcalc import (
 from .lie import (
     LieWord, ScalarField, VectorField, WORD_F, WORD_G,
     bracket_word, directional_derivative, enumerate_monomial_products,
-    iterated_adjoint, lie_bracket, lie_words, power_derivative,
+    iterated_adjoint, lie_bracket, lie_words,
 )
 from .certify import (
     Case, Certificate, GridEntry, SystemDef, certify_grid, certify_point,
@@ -24,8 +24,7 @@ from .synth import (
 )
 from .simloop import (
     FactCheck, IntegrationError, IntervalRecord, LoopReport, Partition,
-    PlannedStep, Trajectory, integrate, plan_interval, run_closed_loop,
-    verify_facts,
+    PlannedStep, Trajectory, plan_interval, run_closed_loop, verify_facts,
 )
 from .cli import SystemFile, load_system
 

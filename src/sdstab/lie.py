@@ -19,10 +19,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
-import numpy as np
-
 from .symcalc import (
-    Const, Expr, compile_expr, differentiate, evaluate, max_var_index,
+    Const, Expr, compile_expr, differentiate, max_var_index,
     parse, simplify, _add, _mul,
 )
 
@@ -30,7 +28,6 @@ __all__ = [
     "ScalarField", "VectorField", "LieWord", "WORD_F", "WORD_G",
     "bracket_word", "lie_words", "enumerate_monomial_products",
     "directional_derivative", "lie_bracket", "iterated_adjoint",
-    "power_derivative",
 ]
 
 
@@ -50,11 +47,6 @@ class ScalarField:
     @classmethod
     def from_string(cls, text: str, dim: int) -> "ScalarField":
         return cls(parse(text, dim), dim)
-
-    def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.dim:
-            raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        return evaluate(self.body, point)
 
     def compiled(self):
         return compile_expr(self.body)
@@ -85,12 +77,6 @@ class VectorField:
     @classmethod
     def from_strings(cls, texts: Sequence[str], dim: int) -> "VectorField":
         return cls(tuple(parse(t, dim) for t in texts), dim)
-
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        if len(point) != self.dim:
-            raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        memo: dict = {}
-        return np.array([evaluate(c, point, memo) for c in self.components])
 
     def compiled(self):
         """Compiled field x -> [X_1(x), ..., X_n(x)] (a list: the RK kernel
@@ -162,16 +148,6 @@ def iterated_adjoint(Y: VectorField, X: VectorField, k: int) -> VectorField:
     return out
 
 
-def power_derivative(f: VectorField, V: ScalarField, i: int) -> ScalarField:
-    """i-fold directional derivative of V along f."""
-    if i < 1:
-        raise ValueError(f"power must be >= 1, got {i}")
-    out = directional_derivative(f, V)
-    for _ in range(i - 1):
-        out = directional_derivative(f, out)
-    return out
-
-
 # --- bracket words ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -207,11 +183,6 @@ class LieWord:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def realize(self, f: VectorField, g: VectorField) -> VectorField:
-        if self.leaf is not None:
-            return f if self.leaf == "f" else g
-        return lie_bracket(self.left.realize(f, g), self.right.realize(f, g))
 
     def label(self) -> str:
         if self.leaf is not None:

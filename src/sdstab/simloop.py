@@ -7,10 +7,11 @@ programs on model-predicted states (the model and the plant coincide
 here), then integrates the plant through the resulting schedule. Chain
 boundaries where a program ran to completion are recorded as checkpoints;
 V must drop strictly at every checkpoint and stay below twice the value
-at the latest checkpoint in between. Both the planner and the executor
-check the latter at every accepted integration step and on the
-integrator's continuous extension inside it, at least every 1/16 of each
-program segment.
+at the latest checkpoint in between. The planner and the executor both
+run every program through ``synth.flow_endpoint``, which checks the
+latter at every accepted integration step and on the integrator's
+continuous extension inside it, at least every 1/16 of each program
+segment.
 
 Each chained program is synthesized with its duration capped by the time
 remaining in the interval; since the candidate durations start at that
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rk import IntegrationError, integrate_segment, fixed_steps
+from ._rk import IntegrationError, fixed_steps
 from .certify import DEFAULT_N_MAX, SystemDef, _check_n_max
 from .synth import (
     CertificateInconclusive, ControlProgram, StepResult, SynthesisFailed,
@@ -40,7 +41,7 @@ from .synth import (
 __all__ = [
     "Partition", "Trajectory", "LoopReport", "IntervalRecord", "PlannedStep",
     "FactCheck", "IntegrationError",
-    "integrate", "run_closed_loop", "verify_facts", "plan_interval",
+    "run_closed_loop", "verify_facts", "plan_interval",
 ]
 
 DEFAULT_STOP_RADIUS = 1e-3
@@ -88,18 +89,11 @@ class Partition:
             tail_step = times[-1] - times[-2]
         return cls(times, float(tail_step))
 
-    @property
-    def kind(self) -> str:
-        return "uniform" if len(self.lead_times) == 1 else "explicit"
-
-    def times_until(self, horizon: float) -> list[float]:
-        """Strictly increasing times from 0 through the first one >= horizon."""
+    def times_until(self, horizon: float):
+        """Strictly increasing times from 0 through the first one >= horizon,
+        generated one at a time, so that a run that stops early holds none of
+        those beyond its stop. The horizon is checked before the first."""
         _check_horizon(horizon)
-        return list(self._times_through(horizon))
-
-    def _times_through(self, horizon: float):
-        """The times of times_until, generated one at a time, so that a run
-        that stops early holds none of those beyond its stop."""
         for t in self.lead_times:
             yield t
             if t >= horizon:
@@ -169,59 +163,6 @@ class FactCheck:
     detail: str
 
 
-# --- program integration -------------------------------------------------------
-
-def integrate(sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10,
-              sample_dt: float | None = None) -> Trajectory:
-    """Integrate the program from x0, stepping exactly onto segment switch
-    times, with dense output every sample_dt (default: duration/100)."""
-    if sample_dt is None:
-        sample_dt = program.duration / 100.0
-    times, states, events, v_sup = _integrate_program(sys, x0, program, tol, sample_dt)
-    return _assemble(sys, times, states, [], events, v_sup)
-
-
-def _integrate_program(sys: SystemDef, x0, program: ControlProgram, tol: float,
-                       sample_dt: float):
-    """The samples of integrate() as lists of times and states from 0, the
-    switch times between segments, and v_sup, without the V values of the
-    samples that integrate() adds (the closed loop assembles its run once)."""
-    x = np.asarray(x0, dtype=float)
-    times = [0.0]
-    states = [x.copy()]
-    events = []
-    t_base = 0.0
-    v_at = sys.v_at
-    v_sup = v_at(x)
-
-    def track(*point):
-        # called as on_step(t, state) and as on_dense(state)
-        nonlocal v_sup
-        v = v_at(point[-1])
-        if v > v_sup:
-            v_sup = v
-
-    for value, duration in program.segments:
-        interior = _interior_grid(duration, sample_dt)
-        samples, x = integrate_segment(
-            sys.rhs(value), x, duration, tol, sample_times=interior,
-            on_step=track, on_dense=track)
-        for s, y in samples[1:]:
-            times.append(t_base + s)
-            states.append(y)
-        t_base += duration
-        events.append(t_base)
-    return times, states, events[:-1], v_sup
-
-
-def _interior_grid(duration: float, sample_dt: float) -> list[float]:
-    if sample_dt <= 0 or sample_dt >= duration:
-        return []
-    count = int(math.floor(duration / sample_dt))
-    grid = [j * sample_dt for j in range(1, count + 1)]
-    return [s for s in grid if s < duration * (1 - 1e-12)]
-
-
 # --- interval planning -----------------------------------------------------------
 
 def plan_interval(
@@ -250,7 +191,7 @@ def plan_interval(
                 sys, state, min(xi_cap, duration), n_max=n_max, tol=tol)
             program = (result.program.truncated(remaining)
                        if result.program.duration > remaining else result.program)
-            end, _ = flow_endpoint(sys, state, program, tol)
+            end = flow_endpoint(sys, state, program, tol)[0][-1][1]
             steps.append(_planned(result, program, end))
             clamped = True
             break
@@ -269,7 +210,7 @@ def plan_interval(
             # and preserves the two-segment duration ratio exactly
             program = program.scaled(remaining / eps)
             eps = remaining
-            end, _ = flow_endpoint(sys, state, program, tol)
+            end = flow_endpoint(sys, state, program, tol)[0][-1][1]
         steps.append(_planned(result, program, end))
         state = end
         remaining -= eps
@@ -325,7 +266,7 @@ def run_closed_loop(
         return traj, report
 
     t_cursor = 0.0
-    for t_a, t_b in itertools.pairwise(partition._times_through(horizon)):
+    for t_a, t_b in itertools.pairwise(partition.times_until(horizon)):
         t_b = min(t_b, horizon)
         if t_b <= t_a or stopped:
             break
@@ -345,16 +286,17 @@ def run_closed_loop(
         sample_dt = (t_b - t_a) / _SAMPLES_PER_INTERVAL
         for idx, step in enumerate(planned):
             base_v = checkpoints[-1][2]
-            piece_times, piece_states, piece_events, piece_sup = _integrate_program(
-                sys, x, step.program, tol, sample_dt)
-            for s, y in zip(piece_times[1:], piece_states[1:]):
+            samples, piece_sup = flow_endpoint(
+                sys, x, step.program, tol, sample_dt=sample_dt)
+            for s, y in samples:
                 times.append(t_cursor + s)
                 states.append(y)
-            for e in piece_events:
-                events.append(t_cursor + e)
-            t_cursor += step.program.duration
-            events.append(t_cursor)
-            x = piece_states[-1].copy()
+            t_switch = 0.0
+            for _, duration in step.program.segments:
+                t_switch += duration
+                events.append(t_cursor + t_switch)
+            t_cursor = events[-1]
+            x = samples[-1][1]
             v_sup = max(v_sup, piece_sup)
             if base_v > 0:
                 overshoot = max(overshoot, piece_sup / base_v)

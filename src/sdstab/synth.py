@@ -54,15 +54,6 @@ class ControlProgram:
     def duration(self) -> float:
         return sum(d for _, d in self.segments)
 
-    def value_at(self, s: float) -> float:
-        """Input value at elapsed time s (last segment closed on the right)."""
-        acc = 0.0
-        for value, duration in self.segments:
-            acc += duration
-            if s < acc:
-                return value
-        return self.segments[-1][0]
-
     def truncated(self, new_duration: float) -> "ControlProgram":
         if not 0 < new_duration <= self.duration:
             raise ValueError(f"cannot truncate to {new_duration}")
@@ -129,14 +120,18 @@ class _BoundExceeded(Exception):
 
 
 def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
-                  tol: float = 1e-10, *,
-                  v_limit: float = math.inf) -> tuple[np.ndarray, float]:
-    """Endpoint and max-V along a program. V is tracked at every accepted
-    step and on the continuous extension inside it, so that it is sampled at
-    least every duration/16 of each segment while the step size follows the
-    error control alone. Raises _BoundExceeded at the first sample (x0
-    included) where V exceeds ``v_limit``, so that a caller that rejects
-    such a program does not pay for the rest of it."""
+                  tol: float = 1e-10, *, v_limit: float = math.inf,
+                  sample_dt: float | None = None
+                  ) -> tuple[list[tuple[float, np.ndarray]], float]:
+    """Samples and max-V along a program: the (t, state) pairs, t from the
+    program's start, at each multiple of ``sample_dt`` inside every segment
+    (none by default) and at every segment end, so that the last sample is
+    the end state. V is tracked at every accepted step and on the continuous
+    extension inside it, so that it is sampled at least every duration/16 of
+    each segment while the step size follows the error control alone. Raises
+    _BoundExceeded at the first sample (x0 included) where V exceeds
+    ``v_limit``, so that a caller that rejects such a program does not pay
+    for the rest of it."""
     y = np.asarray(x0, dtype=float)
     v_at = sys.v_at
     v_max = v_at(y)
@@ -153,10 +148,24 @@ def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
             if v > v_limit:
                 raise _BoundExceeded
 
+    out = []
+    t_base = 0.0
     for value, duration in program.segments:
-        _, y = integrate_segment(
-            sys.rhs(value), y, duration, tol, on_step=track, on_dense=track)
-    return y, v_max
+        interior = None if sample_dt is None else _interior_grid(duration, sample_dt)
+        samples, y = integrate_segment(
+            sys.rhs(value), y, duration, tol, sample_times=interior,
+            on_step=track, on_dense=track)
+        out.extend((t_base + s, state) for s, state in samples[1:])
+        t_base += duration
+    return out, v_max
+
+
+def _interior_grid(duration: float, sample_dt: float) -> list[float]:
+    if sample_dt <= 0 or sample_dt >= duration:
+        return []
+    count = int(math.floor(duration / sample_dt))
+    grid = [j * sample_dt for j in range(1, count + 1)]
+    return [s for s in grid if s < duration * (1 - 1e-12)]
 
 
 # integration tolerance of the composed flows behind the diagnostics
@@ -171,12 +180,9 @@ def composed_flow(sys: SystemDef, x0, rho: float, u1: float, t: float) -> np.nda
         raise ValueError(f"time must be >= 0 and finite, got {t}")
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    y = np.asarray(x0, dtype=float)
     if t == 0.0:
-        return y.copy()
-    for value, duration in two_phase_program(rho, u1, t).segments:
-        _, y = integrate_segment(sys.rhs(value), y, duration, _FLOW_TOL)
-    return y
+        return np.array(x0, dtype=float)
+    return flow_endpoint(sys, x0, two_phase_program(rho, u1, t), _FLOW_TOL)[0][-1][1]
 
 
 def m_of_t(sys: SystemDef, x0, rho: float, u1: float, t: float) -> float:
@@ -363,9 +369,10 @@ def synthesize_step(
         try:
             # a sample above 2 v0 fails the test v_max <= 2 v0 below, so
             # stopping at it changes no outcome
-            end, v_max = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
+            samples, v_max = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
         except (IntegrationError, _BoundExceeded):
             continue
+        end = samples[-1][1]
         drop = v0 - sys.v_at(end)
         if best is None or drop > best:
             best = drop

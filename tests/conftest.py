@@ -117,14 +117,14 @@ def fd_jacobian(field_fn, x, h=FD_H):
     for j in range(n):
         step = np.zeros(n)
         step[j] = h
-        jac[:, j] = (field_fn(x + step) - field_fn(x - step)) / (2 * h)
+        jac[:, j] = np.subtract(field_fn(x + step), field_fn(x - step)) / (2 * h)
     return jac
 
 
 def fd_bracket(X: VectorField, Y: VectorField, x, h=FD_H):
     """[X,Y](x) = J_Y(x) X(x) - J_X(x) Y(x) with central-difference Jacobians."""
-    xf = X.evaluate
-    yf = Y.evaluate
+    xf = X.compiled()
+    yf = Y.compiled()
     return fd_jacobian(yf, x, h) @ xf(x) - fd_jacobian(xf, x, h) @ yf(x)
 
 

@@ -11,6 +11,7 @@ from sdstab.certify import Case, certify_point
 from sdstab.cli import main
 from sdstab.lie import ScalarField, directional_derivative, lie_bracket
 from sdstab.simloop import Partition, run_closed_loop
+from sdstab.symcalc import evaluate
 from sdstab.synth import (
     cbh_residual, flow_endpoint, m_derivative_estimates, synthesize_step,
 )
@@ -39,24 +40,24 @@ def test_acceptance_1_bracket_oracles():
         p = random_point(rng, dim)
 
         bracket = lie_bracket(X, Y)
-        sym = bracket.evaluate(p)
+        sym = np.asarray(bracket.compiled()(p))
         fd = fd_bracket(X, Y, p)
         assert np.all(np.abs(sym - fd) <= 1e-5 * (1.0 + np.abs(sym))), \
             f"finite-difference mismatch in case {case}"
 
-        anti = sym + lie_bracket(Y, X).evaluate(p)
+        anti = sym + lie_bracket(Y, X).compiled()(p)
         scale = 1.0 + float(np.max(np.abs(sym)))
         assert float(np.max(np.abs(anti))) <= 1e-8 * scale
 
-        jac1 = lie_bracket(X, lie_bracket(Y, Z)).evaluate(p)
-        jac2 = lie_bracket(Y, lie_bracket(Z, X)).evaluate(p)
-        jac3 = lie_bracket(Z, lie_bracket(X, Y)).evaluate(p)
+        jac1 = np.asarray(lie_bracket(X, lie_bracket(Y, Z)).compiled()(p))
+        jac2 = np.asarray(lie_bracket(Y, lie_bracket(Z, X)).compiled()(p))
+        jac3 = np.asarray(lie_bracket(Z, lie_bracket(X, Y)).compiled()(p))
         jac_scale = 1.0 + max(float(np.max(np.abs(j))) for j in (jac1, jac2, jac3))
         assert float(np.max(np.abs(jac1 + jac2 + jac3))) <= 1e-8 * jac_scale
 
-        lhs = directional_derivative(bracket, V).evaluate(p)
-        rhs = (directional_derivative(X, directional_derivative(Y, V)).evaluate(p)
-               - directional_derivative(Y, directional_derivative(X, V)).evaluate(p))
+        lhs = evaluate(directional_derivative(bracket, V).body, p)
+        rhs = (evaluate(directional_derivative(X, directional_derivative(Y, V)).body, p)
+               - evaluate(directional_derivative(Y, directional_derivative(X, V)).body, p))
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
     elapsed = time.perf_counter() - start
@@ -127,8 +128,8 @@ def test_acceptance_5_step_soundness(systems):
         result = synthesize_step(sysd, point, 0.5, tol=tol)
         x0 = np.asarray(point, dtype=float)
         v0 = sysd.v_at(x0)
-        end, v_max = flow_endpoint(sysd, x0, result.program, tol / 100.0)
-        assert v0 - sysd.v_at(end) > 0, f"{name}@{point} lost its V-drop"
+        samples, v_max = flow_endpoint(sysd, x0, result.program, tol / 100.0)
+        assert v0 - sysd.v_at(samples[-1][1]) > 0, f"{name}@{point} lost its V-drop"
         assert v_max / v0 <= 2.0, f"{name}@{point} exceeded the factor-2 bound"
     _report(5, "all five programs re-verified at 100x tighter tolerance")
 

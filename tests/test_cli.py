@@ -16,8 +16,8 @@ from sdstab.cli import (
 def test_load_double_integrator(systems_dir):
     sysd = load_system(systems_dir / "dblint.sys")
     assert sysd.dim == 2
-    np.testing.assert_allclose(sysd.f.evaluate([0.5, -2.0]), [-2.0, 0.0])
-    np.testing.assert_allclose(sysd.g.evaluate([0.5, -2.0]), [0.0, 1.0])
+    np.testing.assert_allclose(sysd.f.compiled()([0.5, -2.0]), [-2.0, 0.0])
+    np.testing.assert_allclose(sysd.g.compiled()([0.5, -2.0]), [0.0, 1.0])
 
 
 def test_load_rotation_with_parameters(systems_dir):
@@ -25,7 +25,7 @@ def test_load_rotation_with_parameters(systems_dir):
     assert sysd.dim == 3
     p = np.array([0.3, -0.9, 0.2])
     np.testing.assert_allclose(
-        sysd.f.evaluate(p), [p[1] * (1 + p[2]), -p[0], 0.0], atol=1e-14)
+        sysd.f.compiled()(p), [p[1] * (1 + p[2]), -p[0], 0.0], atol=1e-14)
 
 
 def test_dimension_mismatch_rejected(tmp_path):
@@ -54,7 +54,7 @@ def test_parameter_substitution():
     sf = parse_system_file(
         'dim = 1\nrate = "2+x1"\nf = ["-x1*rate"]\ng = ["1"]\nV = "0.5*x1^2"\n')
     sysd = sf.build()
-    assert sysd.f.evaluate([0.5])[0] == pytest.approx(-0.5 * 2.5)
+    assert sysd.f.compiled()([0.5])[0] == pytest.approx(-0.5 * 2.5)
 
 
 def test_reserved_parameter_names_rejected():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import fd_bracket, random_point, random_poly_field, random_poly_expr
+from sdstab.certify import SystemDef, _word_field, monomial_value
 from sdstab.lie import (
     ScalarField, VectorField, WORD_F, WORD_G, bracket_word,
     directional_derivative, enumerate_monomial_products, iterated_adjoint,
-    lie_bracket, lie_words, power_derivative,
+    lie_bracket, lie_words,
 )
-from sdstab.symcalc import _add, _mul, differentiate, simplify
+from sdstab.symcalc import _add, _mul, differentiate, evaluate, simplify
 
 
 def grid2(lo=-1.5, hi=1.5, k=4):
@@ -20,20 +21,20 @@ def grid2(lo=-1.5, hi=1.5, k=4):
 def test_directional_derivative_control_field(dblint):
     gv = directional_derivative(dblint.g, dblint.V)
     for p in grid2():
-        assert gv.evaluate(p) == pytest.approx(p[1], abs=1e-12)
+        assert evaluate(gv.body, p) == pytest.approx(p[1], abs=1e-12)
 
 
 def test_directional_derivative_drift(dblint):
     fv = directional_derivative(dblint.f, dblint.V)
     for p in grid2():
-        assert fv.evaluate(p) == pytest.approx(p[0] * p[1], abs=1e-12)
+        assert evaluate(fv.body, p) == pytest.approx(p[0] * p[1], abs=1e-12)
 
 
 def test_directional_derivative_zero_field(dblint):
     zero = VectorField.from_strings(["0", "0"], 2)
     zv = directional_derivative(zero, dblint.V)
     for p in grid2():
-        assert zv.evaluate(p) == 0.0
+        assert evaluate(zv.body, p) == 0.0
 
 
 def test_directional_derivative_dim_mismatch(dblint, rotation3):
@@ -46,7 +47,7 @@ def test_directional_derivative_dim_mismatch(dblint, rotation3):
 def test_bracket_double_integrator(dblint):
     br = lie_bracket(dblint.f, dblint.g)
     for p in grid2():
-        np.testing.assert_allclose(br.evaluate(p), [-1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(br.compiled()(p), [-1.0, 0.0], atol=1e-12)
 
 
 def test_bracket_of_field_with_itself_vanishes():
@@ -56,7 +57,7 @@ def test_bracket_of_field_with_itself_vanishes():
         br = lie_bracket(X, X)
         for _ in range(5):
             p = random_point(rng, 3)
-            np.testing.assert_allclose(br.evaluate(p), np.zeros(3), atol=1e-12)
+            np.testing.assert_allclose(br.compiled()(p), np.zeros(3), atol=1e-12)
 
 
 def test_bracket_rotation_structure():
@@ -68,7 +69,7 @@ def test_bracket_rotation_structure():
     for _ in range(8):
         p = random_point(rng, 3, scale=1.2)
         expected = np.array([-p[1] * np.exp(p[2]), -p[0] * np.sin(p[2]), 0.0])
-        np.testing.assert_allclose(br.evaluate(p), expected, atol=1e-12)
+        np.testing.assert_allclose(br.compiled()(p), expected, atol=1e-12)
 
 
 def test_bracket_matches_finite_difference_jacobians():
@@ -78,7 +79,7 @@ def test_bracket_matches_finite_difference_jacobians():
         Y = random_poly_field(rng, 2)
         br = lie_bracket(X, Y)
         p = random_point(rng, 2)
-        sym = br.evaluate(p)
+        sym = br.compiled()(p)
         fd = fd_bracket(X, Y, p)
         np.testing.assert_allclose(sym, fd, rtol=1e-5, atol=1e-5)
 
@@ -91,8 +92,8 @@ def test_antisymmetry():
     ba = lie_bracket(Y, X)
     for _ in range(20):
         p = random_point(rng, 2)
-        total = ab.evaluate(p) + ba.evaluate(p)
-        scale = 1.0 + float(np.max(np.abs(ab.evaluate(p))))
+        total = np.add(ab.compiled()(p), ba.compiled()(p))
+        scale = 1.0 + float(np.max(np.abs(ab.compiled()(p))))
         assert float(np.max(np.abs(total))) <= 1e-10 * scale
 
 
@@ -106,8 +107,8 @@ def test_jacobi_identity():
                    + lie_bracket(Z, lie_bracket(X, Y)))
     for _ in range(10):
         p = random_point(rng, 2)
-        residual = total_field.evaluate(p)
-        scale = 1.0 + float(np.max(np.abs(lie_bracket(X, lie_bracket(Y, Z)).evaluate(p))))
+        residual = total_field.compiled()(p)
+        scale = 1.0 + float(np.max(np.abs(lie_bracket(X, lie_bracket(Y, Z)).compiled()(p))))
         assert float(np.max(np.abs(residual))) <= 1e-8 * scale
 
 
@@ -121,8 +122,8 @@ def test_leibniz_consistency():
     rhs_b = directional_derivative(Y, directional_derivative(X, V))
     for _ in range(15):
         p = random_point(rng, 2)
-        a = lhs.evaluate(p)
-        b = rhs_a.evaluate(p) - rhs_b.evaluate(p)
+        a = evaluate(lhs.body, p)
+        b = evaluate(rhs_a.body, p) - evaluate(rhs_b.body, p)
         assert a == pytest.approx(b, abs=1e-9 * (1 + abs(a)))
 
 
@@ -174,21 +175,23 @@ def test_adjoint_depth_one_is_bracket(dblint):
     a = iterated_adjoint(dblint.g, dblint.f, 1)
     b = lie_bracket(dblint.g, dblint.f)
     for p in grid2():
-        np.testing.assert_allclose(a.evaluate(p), b.evaluate(p), atol=1e-14)
+        np.testing.assert_allclose(a.compiled()(p), b.compiled()(p), atol=1e-14)
 
 
 def test_double_integrator_is_nilpotent(dblint):
     second = iterated_adjoint(dblint.g, dblint.f, 2)
     for p in grid2():
-        np.testing.assert_allclose(second.evaluate(p), np.zeros(2), atol=1e-14)
+        np.testing.assert_allclose(second.compiled()(p), np.zeros(2), atol=1e-14)
 
 
 def test_nilpotency_of_all_higher_words(dblint):
+    sysd = SystemDef(dblint.f, dblint.g, dblint.V)
     for order in (3, 4):
         for word in lie_words(order):
-            fld = word.realize(dblint.f, dblint.g)
+            fld = _word_field(sysd, word).compiled()
             for p in grid2(k=3):
-                np.testing.assert_allclose(fld.evaluate(p), np.zeros(2), atol=1e-12)
+                np.testing.assert_allclose(fld(p), np.zeros(2), atol=1e-12)
+                assert monomial_value(sysd, (word,), p) == 0.0
 
 
 def test_rotation_double_adjoint(rotation3):
@@ -197,7 +200,7 @@ def test_rotation_double_adjoint(rotation3):
     for _ in range(8):
         p = random_point(rng, 3)
         expected = np.array([p[0], -p[1], 0.0])
-        np.testing.assert_allclose(fld.evaluate(p), expected, atol=1e-12)
+        np.testing.assert_allclose(fld.compiled()(p), expected, atol=1e-12)
 
 
 def test_adjoint_depth_validation(dblint):
@@ -207,30 +210,35 @@ def test_adjoint_depth_validation(dblint):
 
 # --- drift powers ------------------------------------------------------------------------
 
+# f^i V is the bracket monomial (f, ..., f) of certification
+
 def test_power_derivative_base_case(dblint):
-    a = power_derivative(dblint.f, dblint.V, 1)
+    sysd = SystemDef(dblint.f, dblint.g, dblint.V)
     b = directional_derivative(dblint.f, dblint.V)
     for p in grid2():
-        assert a.evaluate(p) == pytest.approx(b.evaluate(p), abs=1e-14)
+        assert monomial_value(sysd, (WORD_F,), p) == pytest.approx(
+            evaluate(b.body, p), abs=1e-14)
 
 
 def test_power_derivative_cubic_drift(planar_cubic):
-    second = power_derivative(planar_cubic.f, planar_cubic.V, 2)
+    sysd = SystemDef(planar_cubic.f, planar_cubic.g, planar_cubic.V)
     rng = np.random.default_rng(29)
     for _ in range(10):
         p = random_point(rng, 2, scale=1.5)
-        assert second.evaluate(p) == pytest.approx(
+        assert monomial_value(sysd, (WORD_F,) * 2, p) == pytest.approx(
             2 * p[0] ** 2 * p[1] ** 4, rel=1e-10, abs=1e-12)
 
 
 def test_power_derivative_rotation(rotation3):
-    third = power_derivative(rotation3.f, rotation3.V, 3)
+    sysd = SystemDef(rotation3.f, rotation3.g, rotation3.V)
     rng = np.random.default_rng(31)
     for _ in range(10):
         p = random_point(rng, 3, scale=1.2)
         expected = -4 * p[0] * p[1] * p[2] * (1 + p[2])
-        assert third.evaluate(p) == pytest.approx(expected, rel=1e-9, abs=1e-11)
-    assert third.evaluate([0.7, -0.4, 0.0]) == pytest.approx(0.0, abs=1e-14)
+        assert monomial_value(sysd, (WORD_F,) * 3, p) == pytest.approx(
+            expected, rel=1e-9, abs=1e-11)
+    assert monomial_value(sysd, (WORD_F,) * 3, [0.7, -0.4, 0.0]) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 # --- bracket words and monomial enumeration -------------------------------------------------

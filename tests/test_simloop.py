@@ -11,11 +11,11 @@ import sdstab
 from sdstab.certify import SystemDef
 from sdstab.lie import ScalarField, VectorField
 from sdstab.simloop import (
-    FactCheck, IntegrationError, Partition, Trajectory, integrate,
+    FactCheck, IntegrationError, Partition, Trajectory,
     observed_integration_order, plan_interval, run_closed_loop, verify_facts,
 )
-from sdstab.simloop import _threshold_times
-from sdstab.synth import ControlProgram
+from sdstab.simloop import _SAMPLES_PER_INTERVAL, _threshold_times
+from sdstab.synth import ControlProgram, flow_endpoint
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +41,17 @@ def inert():
 
 def test_uniform_partition_times():
     part = Partition.uniform(0.5)
-    assert part.times_until(2.0) == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert part.kind == "uniform"
+    assert list(part.times_until(2.0)) == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_explicit_partition_with_tail():
     part = Partition.explicit([0.0, 0.1, 0.7, 0.8, 2.0], tail_step=0.5)
-    assert part.times_until(3.2) == [0.0, 0.1, 0.7, 0.8, 2.0, 2.5, 3.0, 3.5]
-    assert part.kind == "explicit"
+    assert list(part.times_until(3.2)) == [0.0, 0.1, 0.7, 0.8, 2.0, 2.5, 3.0, 3.5]
 
 
 def test_explicit_partition_default_tail():
     part = Partition.explicit([0.0, 0.25, 1.0])
-    assert part.times_until(2.0) == [0.0, 0.25, 1.0, 1.75, 2.5]
+    assert list(part.times_until(2.0)) == [0.0, 0.25, 1.0, 1.75, 2.5]
 
 
 def test_partition_validation():
@@ -64,14 +62,14 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition.explicit([0.0, 0.5, 0.4])
     with pytest.raises(ValueError):
-        Partition.uniform(0.5).times_until(0.0)
+        list(Partition.uniform(0.5).times_until(0.0))
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])
 def test_non_finite_horizon_rejected(dblint, horizon):
     # an infinite horizon used to make times_until append times forever
     with pytest.raises(ValueError, match="finite"):
-        Partition.uniform(0.5).times_until(horizon)
+        list(Partition.uniform(0.5).times_until(horizon))
     for x0 in ([1.0, 0.0], [1e-4, 0.0]):  # outside and inside the stop radius
         with pytest.raises(ValueError, match="finite"):
             run_closed_loop(dblint, x0, Partition.uniform(0.5), horizon)
@@ -105,37 +103,37 @@ def test_huge_horizon_holds_no_partition_times_beyond_the_stop(systems_dir):
 # --- open-loop integration ----------------------------------------------------------
 
 def test_integrate_double_integrator_closed_form(dblint):
-    traj = integrate(dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), tol=1e-10)
-    np.testing.assert_allclose(traj.states[-1], [0.5, 1.0], atol=1e-10)
+    samples, _ = flow_endpoint(dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), tol=1e-10)
+    np.testing.assert_allclose(samples[-1][1], [0.5, 1.0], atol=1e-10)
 
 
 def test_integrate_sees_a_peak_inside_one_step(peak_inside_step):
     # no sample time inside the segment, so the steps grow to about 1
-    traj = integrate(peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)),
-                     sample_dt=2.0)
-    assert list(traj.times) == [0.0, 2.0]
-    assert 0.249 <= traj.v_sup <= 0.25
+    samples, v_max = flow_endpoint(
+        peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)), sample_dt=2.0)
+    assert [t for t, _ in samples] == [2.0]
+    assert 0.249 <= v_max <= 0.25
 
 
 def test_integrate_zero_dynamics(inert):
-    traj = integrate(inert, [0.3, -0.7], ControlProgram(((1.0, 2.0),)))
-    np.testing.assert_allclose(traj.states[-1], [0.3, -0.7], atol=1e-14)
+    samples, _ = flow_endpoint(inert, [0.3, -0.7], ControlProgram(((1.0, 2.0),)))
+    np.testing.assert_allclose(samples[-1][1], [0.3, -0.7], atol=1e-14)
 
 
 def test_integrate_records_switches_and_v(dblint):
     prog = ControlProgram(((1.0, 0.5), (-1.0, 0.5)))
-    traj = integrate(dblint, [0.0, 0.0], prog, sample_dt=0.1)
-    assert traj.events == [0.5]
-    assert np.all(np.diff(traj.times) >= 0)
-    for state, v in zip(traj.states, traj.v_values):
-        assert v == pytest.approx(dblint.v_at(state), abs=1e-12)
-    assert 0.5 in traj.times
-    assert traj.times[-1] == pytest.approx(1.0)
+    samples, v_max = flow_endpoint(dblint, [0.0, 0.0], prog, sample_dt=0.1)
+    times = [t for t, _ in samples]
+    assert np.all(np.diff(times) > 0)
+    assert 0.5 in times
+    assert times[-1] == pytest.approx(1.0)
+    assert v_max >= max(dblint.v_at(y) for _, y in samples)
 
 
 def test_integrate_dense_grid(dblint):
-    traj = integrate(dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), sample_dt=0.01)
-    assert len(traj.times) >= 100
+    samples, _ = flow_endpoint(
+        dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), sample_dt=0.01)
+    assert [t for t, _ in samples] == pytest.approx([0.01 * j for j in range(1, 101)])
 
 
 def test_tightening_tolerance_reduces_error(circular):
@@ -143,9 +141,9 @@ def test_tightening_tolerance_reduces_error(circular):
     exact = np.array([np.cos(T), -np.sin(T)])
     errors = {}
     for tol in (1e-6, 1e-7, 1e-8):
-        traj = integrate(circular, [1.0, 0.0], ControlProgram(((0.0, T),)),
-                         tol=tol, sample_dt=T)
-        errors[tol] = np.linalg.norm(traj.states[-1] - exact)
+        samples, _ = flow_endpoint(circular, [1.0, 0.0], ControlProgram(((0.0, T),)),
+                                   tol=tol, sample_dt=T)
+        errors[tol] = np.linalg.norm(samples[-1][1] - exact)
     assert errors[1e-6] / errors[1e-7] >= 10.0
     assert errors[1e-7] / errors[1e-8] >= 10.0
 
@@ -165,15 +163,15 @@ def test_divergence_detected():
         ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
     )
     with pytest.raises(IntegrationError, match="divergence bound 1000000.0 at t = 13.8"):
-        integrate(growth, [1.0, 0.0], ControlProgram(((0.0, 20.0),)))
+        flow_endpoint(growth, [1.0, 0.0], ControlProgram(((0.0, 20.0),)))
     # x1 escapes to infinity at t = 0.22
     blowup = SystemDef(
         VectorField.from_strings(["x1^3", "0"], 2),
         VectorField.from_strings(["0", "1"], 2),
         ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
     )
-    with pytest.raises(IntegrationError):
-        integrate(blowup, [1.5, 0.0], ControlProgram(((0.0, 2.0),)))
+    with pytest.raises(IntegrationError, match="step size underflow at t = 0.222"):
+        flow_endpoint(blowup, [1.5, 0.0], ControlProgram(((0.0, 2.0),)))
 
 
 # --- the closed loop -------------------------------------------------------------------
@@ -226,6 +224,42 @@ def test_threshold_times_stop_on_infinite_v():
     traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)),
                       np.array([np.inf, 1.0]), [], [])
     assert _threshold_times(traj) == {}
+
+
+def test_executor_runs_the_planned_programs_through_flow_endpoint(dblint):
+    """flow_endpoint samples each segment on its own grid and at its end, and
+    the closed loop's first interval, samples and switch times, is
+    flow_endpoint chained over the planned programs on the interval's grid."""
+    program = ControlProgram(((1.0, 0.25), (-1.0, 0.5)))
+    samples, _ = flow_endpoint(dblint, [0.0, 0.0], program, sample_dt=0.1)
+    times = [t for t, _ in samples]
+    assert times == pytest.approx([0.1, 0.2, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
+    assert times[2] == 0.25 and times[-1] == 0.75
+    # x1'' = u: up to (1/32, 1/4), then back to x1 = 1/32 with the speed reversed
+    np.testing.assert_allclose(samples[2][1], [0.03125, 0.25], atol=1e-12)
+    np.testing.assert_allclose(samples[-1][1], [0.03125, -0.25], atol=1e-12)
+
+    # at radius 0.2 the first interval chains two programs
+    traj, report = run_closed_loop(dblint, [0.2, 0.0], Partition.uniform(0.5), 1.0)
+    record = report.intervals[0]
+    assert len(record.steps) == 2
+    sample_dt = (record.t_end - record.t_start) / _SAMPLES_PER_INTERVAL
+    x, t_cursor = np.array(record.measured_state), record.t_start
+    times, states, events = [], [], []
+    for step in record.steps:
+        samples, _ = flow_endpoint(dblint, x, step.program, sample_dt=sample_dt)
+        times += [t_cursor + t for t, _ in samples]
+        states += [y for _, y in samples]
+        t_switch = 0.0
+        for _, duration in step.program.segments:
+            t_switch += duration
+            events.append(t_cursor + t_switch)
+        t_cursor += step.program.duration
+        x = samples[-1][1]
+    np.testing.assert_array_equal(traj.times[1:len(times) + 1], times)
+    np.testing.assert_array_equal(traj.states[1:len(states) + 1], states)
+    assert traj.events[:len(events)] == events
+    assert traj.times[len(times)] == events[-1] == pytest.approx(record.t_end)
 
 
 def test_closed_loop_records_sampled_data_plan(short_run, dblint):
