@@ -24,7 +24,7 @@ from .synth import (
 )
 from .simloop import (
     FactCheck, IntegrationError, IntervalRecord, LoopReport, Partition,
-    PlannedStep, Trajectory, plan_interval, run_closed_loop, verify_facts,
+    Trajectory, plan_interval, run_closed_loop, verify_facts,
 )
 from .cli import SystemFile, load_system
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["IntegrationError", "integrate_segment", "fixed_steps"]
+__all__ = ["IntegrationError", "integrate_segment"]
 
 Rhs = Callable[[Sequence[float]], Sequence[float]]
 
@@ -200,14 +200,3 @@ def integrate_segment(
             factor = _SAFETY * (h / err_norm) ** 0.25
             h *= max(_MIN_FACTOR, min(1.0, factor))
     return samples, np.array(y)
-
-
-def fixed_steps(rhs: Rhs, y0: Sequence[float], duration: float, steps: int) -> np.ndarray:
-    """Propagate with a fixed step (no error control); 5th-order endpoint."""
-    y = np.asarray(y0, dtype=float).tolist()
-    h = duration / steps
-    k1 = rhs(y)
-    for _ in range(steps):
-        y, _, ks = _stages(rhs, y, h, k1)
-        k1 = ks[-1]
-    return np.array(y)

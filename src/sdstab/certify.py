@@ -97,7 +97,7 @@ class SystemDef:
             raise ValueError(f"V(0) = {v0}, expected 0")
         for p in self._spot_points():
             if self.v_at(p) <= 0.0:
-                raise ValueError(f"V is not positive at sampled point {tuple(p)}")
+                raise ValueError(f"V is not positive at sampled point {tuple(p.tolist())}")
 
     def _spot_points(self):
         n = self.dim

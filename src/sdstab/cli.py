@@ -163,11 +163,12 @@ def load_system(path: str | Path) -> SystemDef:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    system_file = parse_system_file(text, str(path))
     try:
-        return parse_system_file(text, str(path)).build()
-    except (ExprError, ValueError) as exc:
+        return system_file.build()
+    except (CliError, ExprError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     except OverflowError as exc:
         raise CliError(f"{path}: a constant is beyond float range ({exc})") from exc
@@ -258,8 +259,9 @@ def _report_to_json(report: LoopReport) -> dict:
                 "clamped": rec.clamped,
                 "steps": [
                     {
-                        "case": s.case, "N": s.N, "rho": s.rho, "u1": s.u1,
-                        "drop": s.predicted_drop, "sup_ratio": s.predicted_ratio,
+                        "case": s.certificate.case.value, "N": s.certificate.N,
+                        "rho": s.rho, "u1": s.u1,
+                        "drop": s.v_drop, "sup_ratio": s.sup_v_ratio,
                         "segments": [[v, d] for v, d in s.program.segments],
                     }
                     for s in rec.steps

@@ -16,39 +16,39 @@ segment.
 Each chained program is synthesized with its duration capped by the time
 remaining in the interval; since the candidate durations start at that
 cap and halve, chains normally land exactly on T_{i+1}. A chain that
-fails to land after many programs is truncated at T_{i+1} and the
-interval is flagged as clamped. Synthesis searches fixed, finite grids
-(at most 4,840 simulations a step), so a step that no candidate achieves
-ends the run with a recorded failure.
+needs more than 4,096 programs fails the interval. Synthesis searches
+fixed, finite grids (at most 4,840 simulations a step), so a step that no
+candidate achieves ends the run with a recorded failure, as does such a
+chain.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._rk import IntegrationError, fixed_steps
+from ._rk import IntegrationError
 from .certify import DEFAULT_N_MAX, SystemDef, _check_n_max
 from .synth import (
-    CertificateInconclusive, ControlProgram, StepResult, SynthesisFailed,
-    flow_endpoint, synthesize_step,
+    CertificateInconclusive, StepResult, SynthesisFailed, flow_endpoint,
+    synthesize_step,
 )
 
 __all__ = [
-    "Partition", "Trajectory", "LoopReport", "IntervalRecord", "PlannedStep",
-    "FactCheck", "IntegrationError",
-    "run_closed_loop", "verify_facts", "plan_interval",
+    "Partition", "Trajectory", "LoopReport", "IntervalRecord", "FactCheck",
+    "IntegrationError", "run_closed_loop", "verify_facts", "plan_interval",
 ]
 
 DEFAULT_STOP_RADIUS = 1e-3
 # trajectory samples recorded per partition interval
 _SAMPLES_PER_INTERVAL = 100
 # near the origin the overshoot bound forces program durations of order |x|,
-# so interval chains legitimately hold many programs before the stop radius
+# so interval chains legitimately hold many programs before the stop radius;
+# a chain that needs more fails its interval
 _MAX_CHAIN_PROGRAMS = 4096
 _LANDING_RTOL = 1e-9
 
@@ -57,6 +57,12 @@ def _check_horizon(horizon: float) -> None:
     # an infinite horizon would make the partition's time list endless
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+
+
+def _check_stop_radius(stop_radius: float) -> None:
+    # a NaN radius would never stop the run, and an infinite one stops it at 0
+    if not (stop_radius > 0 and math.isfinite(stop_radius)):
+        raise ValueError(f"stop radius must be positive and finite, got {stop_radius}")
 
 
 @dataclass(frozen=True)
@@ -109,29 +115,13 @@ class Partition:
 
 @dataclass
 class Trajectory:
-    """Dense samples of a run plus checkpoint and switching metadata.
-    v_sup is the largest V seen at any accepted integration step or on the
-    continuous extension inside one, which is finer-grained than the
-    recorded samples."""
+    """Dense samples of a run plus checkpoint and switching metadata."""
 
     times: np.ndarray
     states: np.ndarray
     v_values: np.ndarray
     checkpoints: list[tuple[float, np.ndarray, float]]
     events: list[float]
-    v_sup: float = 0.0
-
-
-@dataclass(frozen=True)
-class PlannedStep:
-    program: ControlProgram
-    case: str
-    N: int
-    rho: float
-    u1: float
-    predicted_drop: float
-    predicted_ratio: float
-    predicted_end: tuple[float, ...]
 
 
 @dataclass
@@ -139,8 +129,9 @@ class IntervalRecord:
     t_start: float
     t_end: float
     measured_state: tuple[float, ...]
-    steps: list[PlannedStep]
-    clamped: bool
+    steps: list[StepResult]
+    # always False: a chain that does not land fails its interval instead
+    clamped: bool = False
 
 
 @dataclass
@@ -168,67 +159,47 @@ class FactCheck:
 def plan_interval(
         sys: SystemDef, z, duration: float, xi_cap: float, *,
         tol: float = 1e-10, n_max: int = DEFAULT_N_MAX,
-        stop_radius: float = DEFAULT_STOP_RADIUS) -> tuple[list[PlannedStep], bool]:
+        stop_radius: float = DEFAULT_STOP_RADIUS) -> list[StepResult]:
     """Chain one-step programs covering [0, duration] from the measured
-    state z, advancing on model-predicted states only. Returns the planned
-    steps and whether the final program had to be clamped.
+    state z, advancing on model-predicted states only. Returns the
+    synthesized steps, each ending where the next starts; the chain stops
+    short of ``duration`` only when a predicted state enters the stop
+    radius. Raises SynthesisFailed when the chain would exceed
+    _MAX_CHAIN_PROGRAMS programs.
 
     Deterministic in its arguments: replaying it from the same measured
     state reproduces the same control schedule exactly.
     """
-    steps: list[PlannedStep] = []
+    steps: list[StepResult] = []
     state = np.asarray(z, dtype=float)
     remaining = duration
-    clamped = False
-    last_eps = None
     while remaining > 0:
         if float(np.linalg.norm(state)) <= stop_radius:
             break
         if len(steps) >= _MAX_CHAIN_PROGRAMS:
-            # Zeno guard: synthesize once more without the remaining-time cap
-            # and truncate the program at the interval end.
-            result = synthesize_step(
-                sys, state, min(xi_cap, duration), n_max=n_max, tol=tol)
-            program = (result.program.truncated(remaining)
-                       if result.program.duration > remaining else result.program)
-            end = flow_endpoint(sys, state, program, tol)[0][-1][1]
-            steps.append(_planned(result, program, end))
-            clamped = True
-            break
+            raise SynthesisFailed(
+                f"the chain reached its cap of {_MAX_CHAIN_PROGRAMS} programs "
+                f"{remaining!r} s before the interval end")
         # warm start: durations rarely grow much between consecutive chain
         # programs, so cap the search near the last success (it can still
         # double every program when the state allows longer steps)
         xi_step = min(xi_cap, remaining)
-        if last_eps is not None:
-            xi_step = min(xi_step, max(2.0 * last_eps, remaining / 64.0))
+        if steps:
+            xi_step = min(xi_step, max(2.0 * steps[-1].program.duration, remaining / 64.0))
         result = synthesize_step(sys, state, xi_step, n_max=n_max, tol=tol)
-        program = result.program
-        eps = program.duration
-        end = np.array(result.end_state)
-        if abs(eps - remaining) <= _LANDING_RTOL * remaining:
+        eps = result.program.duration
+        if eps != remaining and abs(eps - remaining) <= _LANDING_RTOL * remaining:
             # snap onto the interval end; the relative rescale is O(1e-9)
             # and preserves the two-segment duration ratio exactly
-            program = program.scaled(remaining / eps)
-            eps = remaining
+            program = result.program.scaled(remaining / eps)
             end = flow_endpoint(sys, state, program, tol)[0][-1][1]
-        steps.append(_planned(result, program, end))
-        state = end
+            result = replace(result, program=program,
+                             end_state=tuple(float(v) for v in end))
+            eps = remaining
+        steps.append(result)
+        state = np.array(result.end_state)
         remaining -= eps
-        last_eps = eps
-    return steps, clamped
-
-
-def _planned(result: StepResult, program: ControlProgram, end: np.ndarray) -> PlannedStep:
-    return PlannedStep(
-        program=program,
-        case=result.certificate.case.value,
-        N=result.certificate.N,
-        rho=result.rho,
-        u1=result.u1,
-        predicted_drop=result.v_drop,
-        predicted_ratio=result.sup_v_ratio,
-        predicted_end=tuple(float(v) for v in end),
-    )
+    return steps
 
 
 # --- the closed loop --------------------------------------------------------------
@@ -247,6 +218,7 @@ def run_closed_loop(
     # also when the start is already inside the stop radius
     _check_n_max(n_max)
     _check_horizon(horizon)
+    _check_stop_radius(stop_radius)
     x = np.asarray(x0, dtype=float)
     v0 = sys.v_value(x)
     times = [0.0]
@@ -258,33 +230,26 @@ def run_closed_loop(
     stop_time = None
     failure = None
     overshoot = 1.0
-    v_sup = v0
-
     if float(np.linalg.norm(x)) <= stop_radius:
-        traj = _assemble(sys, times, states, checkpoints, events, v_sup)
-        report = _report(sys, traj, intervals, True, 0.0, None, overshoot)
-        return traj, report
+        stopped, stop_time = True, 0.0
 
     t_cursor = 0.0
     for t_a, t_b in itertools.pairwise(partition.times_until(horizon)):
         t_b = min(t_b, horizon)
         if t_b <= t_a or stopped:
             break
-        measured = x.copy()
+        measured = tuple(float(v) for v in x)
         try:
-            planned, clamped = plan_interval(
-                sys, measured, t_b - t_a, xi_cap, tol=tol, n_max=n_max,
+            planned = plan_interval(
+                sys, x, t_b - t_a, xi_cap, tol=tol, n_max=n_max,
                 stop_radius=stop_radius)
         except (SynthesisFailed, CertificateInconclusive, IntegrationError) as exc:
             failure = f"interval [{t_a}, {t_b}): {exc}"
-            intervals.append(IntervalRecord(
-                t_a, t_b, tuple(float(v) for v in measured), [], False))
+            intervals.append(IntervalRecord(t_a, t_b, measured, []))
             break
-        record = IntervalRecord(
-            t_a, t_b, tuple(float(v) for v in measured), planned, clamped)
-        intervals.append(record)
+        intervals.append(IntervalRecord(t_a, t_b, measured, planned))
         sample_dt = (t_b - t_a) / _SAMPLES_PER_INTERVAL
-        for idx, step in enumerate(planned):
+        for step in planned:
             base_v = checkpoints[-1][2]
             samples, piece_sup = flow_endpoint(
                 sys, x, step.program, tol, sample_dt=sample_dt)
@@ -297,12 +262,9 @@ def run_closed_loop(
                 events.append(t_cursor + t_switch)
             t_cursor = events[-1]
             x = samples[-1][1]
-            v_sup = max(v_sup, piece_sup)
             if base_v > 0:
                 overshoot = max(overshoot, piece_sup / base_v)
-            is_last = idx == len(planned) - 1
-            if not (clamped and is_last):
-                checkpoints.append((t_cursor, x.copy(), sys.v_at(x)))
+            checkpoints.append((t_cursor, x.copy(), sys.v_at(x)))
             if float(np.linalg.norm(x)) <= stop_radius:
                 stopped = True
                 stop_time = t_cursor
@@ -316,19 +278,19 @@ def run_closed_loop(
         if stopped:
             break
 
-    traj = _assemble(sys, times, states, checkpoints, events, v_sup)
-    report = _report(sys, traj, intervals, stopped, stop_time, failure, overshoot)
+    traj = _assemble(sys, times, states, checkpoints, events)
+    report = _report(traj, intervals, stopped, stop_time, failure, overshoot)
     return traj, report
 
 
-def _assemble(sys, times, states, checkpoints, events, v_sup) -> Trajectory:
+def _assemble(sys, times, states, checkpoints, events) -> Trajectory:
     times = np.array(times)
     states = np.vstack(states)
     v_values = np.array([sys.v_at(y) for y in states])
-    return Trajectory(times, states, v_values, checkpoints, events, v_sup)
+    return Trajectory(times, states, v_values, checkpoints, events)
 
 
-def _report(sys, traj: Trajectory, intervals, stopped, stop_time, failure,
+def _report(traj: Trajectory, intervals, stopped, stop_time, failure,
             overshoot) -> LoopReport:
     final_state = traj.states[-1]
     checkpoint_vs = [(t, v) for t, _, v in traj.checkpoints]
@@ -420,16 +382,3 @@ def _attained_thresholds(traj: Trajectory, report: LoopReport) -> list[float]:
         out.append(mu)
         mu /= 4.0
     return out
-
-
-def observed_integration_order(sys: SystemDef, x0, u: float, duration: float,
-                               exact_end: np.ndarray,
-                               step_counts: Sequence[int] = (32, 64, 128)) -> float:
-    """Fixed-step convergence slope against a closed-form endpoint."""
-    errors = []
-    for steps in step_counts:
-        end = fixed_steps(sys.rhs(u), np.asarray(x0, dtype=float), duration, steps)
-        errors.append(float(np.linalg.norm(end - exact_end)))
-    hs = [duration / s for s in step_counts]
-    slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-    return float(slope)

@@ -54,19 +54,6 @@ class ControlProgram:
     def duration(self) -> float:
         return sum(d for _, d in self.segments)
 
-    def truncated(self, new_duration: float) -> "ControlProgram":
-        if not 0 < new_duration <= self.duration:
-            raise ValueError(f"cannot truncate to {new_duration}")
-        out = []
-        remaining = new_duration
-        for value, duration in self.segments:
-            if remaining <= duration:
-                out.append((value, remaining))
-                break
-            out.append((value, duration))
-            remaining -= duration
-        return ControlProgram(tuple(out))
-
     def scaled(self, factor: float) -> "ControlProgram":
         return ControlProgram(tuple((v, d * factor) for v, d in self.segments))
 
@@ -90,17 +77,20 @@ class StepResult:
 
 
 class SynthesisFailed(RuntimeError):
-    """No candidate of the search grids gave a verified step. ``best_drop``
-    is the largest V drop among the candidates whose simulation reached its
-    end within 2 V(x0), or None when none did: a candidate is abandoned as
-    soon as V exceeds that bound, so it has no end state. ``simulations``
-    counts every candidate tried."""
+    """No verified program was found. After a search of the grids,
+    ``best_drop`` is the largest V drop among the candidates whose
+    simulation reached its end within 2 V(x0), or None when none did: a
+    candidate is abandoned as soon as V exceeds that bound, so it has no
+    end state. ``simulations`` counts every candidate tried; it is 0 when
+    no search ran, as when an interval's chain reaches its cap, and the
+    message then carries no search summary."""
 
     def __init__(self, message: str, best_drop: float | None = None,
                  simulations: int = 0, certificate: Certificate | None = None):
-        extra = (f" (best V-drop within the 2*V bound: {best_drop}, "
-                 f"simulations: {simulations})")
-        super().__init__(message + extra)
+        if simulations:
+            message += (f" (best V-drop within the 2*V bound: {best_drop}, "
+                        f"simulations: {simulations})")
+        super().__init__(message)
         self.best_drop = best_drop
         self.simulations = simulations
         self.certificate = certificate

@@ -259,6 +259,36 @@ def test_literal_beyond_float_range_exits_one(tmp_path):
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+_F, _G, _V = 'f = ["x2", "0"]', 'g = ["0", "1"]', 'V = "x1^2+x2^2"'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(f'dim = 2\nf = ["x2", "0"\n{_G}\n{_V}\n', id="unterminated-list"),
+    pytest.param(f'dim = 2\n{_F}\n{_G}\nV = "x1^2+x2^2\n', id="unterminated-string"),
+    pytest.param(f'dim = 2\nk = 1.2.3\n{_F}\n{_G}\n{_V}\n', id="bad-value"),
+    pytest.param(f'dim = 2\n{_F}\njust text\n{_G}\n{_V}\n', id="no-equals"),
+    pytest.param(f'dim = 2\nk = ["1", "2"]\n{_F}\n{_G}\n{_V}\n', id="list-parameter"),
+    pytest.param(f'dim = 2.5\n{_F}\n{_G}\n{_V}\n', id="fractional-dim"),
+    pytest.param(f'dim = 2\nf = "x2"\n{_G}\n{_V}\n', id="f-string"),
+    pytest.param(f'dim = 2\n{_F}\n{_G}\nV = ["x1^2", "x2^2"]\n', id="V-list"),
+    pytest.param(f'dim = 2\n{_F}\n{_G}\nV = "1e400*(x1^2+x2^2)"\n', id="V-overflow"),
+    pytest.param(f'dim = 3\n{_F}\n{_G}\n{_V}\n', id="dimension-mismatch"),
+    # V vanishes on the x2 axis
+    pytest.param(f'dim = 2\n{_F}\n{_G}\nV = "x1^2"\n', id="V-not-positive"),
+    # the byte 0xff, which is not UTF-8
+    pytest.param(f'dim = 2\n{_F}\n{_G}\nV = "x1^2+x2^2\udcff"\n', id="not-utf8"),
+])
+def test_malformed_system_file_exits_one_naming_the_file(tmp_path, capsys, text):
+    bad = tmp_path / "bad.sys"
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert main(["certify", "--system", str(bad), "--at", "1,0",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err, err
+    assert err.count("\n") == 1, err
+    assert "np.float64" not in err
+
+
 def test_cbh_check_with_zero_time(systems_dir, tmp_path):
     # t = 0 has no logarithm: the slope is fitted over the positive times
     done = _run_module(["cbh-check", "--at", "1,0", "--k", "2", "--t", "0,0.01,0.1"],

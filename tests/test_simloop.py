@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 import sdstab
+from sdstab import simloop
 from sdstab.certify import SystemDef
 from sdstab.lie import ScalarField, VectorField
 from sdstab.simloop import (
     FactCheck, IntegrationError, Partition, Trajectory,
-    observed_integration_order, plan_interval, run_closed_loop, verify_facts,
+    plan_interval, run_closed_loop, verify_facts,
 )
 from sdstab.simloop import _SAMPLES_PER_INTERVAL, _threshold_times
 from sdstab.synth import ControlProgram, flow_endpoint
+
+from test_rk import fixed_steps
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,15 @@ def test_non_finite_horizon_rejected(dblint, horizon):
     for x0 in ([1.0, 0.0], [1e-4, 0.0]):  # outside and inside the stop radius
         with pytest.raises(ValueError, match="finite"):
             run_closed_loop(dblint, x0, Partition.uniform(0.5), horizon)
+
+
+@pytest.mark.parametrize("stop_radius", [math.nan, math.inf, -1e-3, 0.0])
+def test_invalid_stop_radius_rejected(dblint, stop_radius):
+    # a NaN radius never stopped the run, and an infinite one stopped it at 0
+    for x0 in ([1.0, 0.0], [1e-4, 0.0]):
+        with pytest.raises(ValueError, match="stop radius must be positive"):
+            run_closed_loop(dblint, x0, Partition.uniform(0.5), 1.0,
+                            stop_radius=stop_radius)
 
 
 _HUGE_HORIZON_RUN = """
@@ -146,6 +158,17 @@ def test_tightening_tolerance_reduces_error(circular):
         errors[tol] = np.linalg.norm(samples[-1][1] - exact)
     assert errors[1e-6] / errors[1e-7] >= 10.0
     assert errors[1e-7] / errors[1e-8] >= 10.0
+
+
+def observed_integration_order(sys, x0, u, duration, exact_end,
+                               step_counts=(32, 64, 128)):
+    """Fixed-step convergence slope against a closed-form endpoint."""
+    errors = []
+    for steps in step_counts:
+        end = fixed_steps(sys.rhs(u), np.asarray(x0, dtype=float), duration, steps)
+        errors.append(float(np.linalg.norm(end - exact_end)))
+    hs = [duration / s for s in step_counts]
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
 def test_observed_order_at_least_four(circular):
@@ -268,11 +291,28 @@ def test_closed_loop_records_sampled_data_plan(short_run, dblint):
     _, report = short_run
     assert report.intervals
     for record in report.intervals[:3]:
-        replayed, clamped = plan_interval(
+        replayed = plan_interval(
             dblint, np.array(record.measured_state),
             record.t_end - record.t_start, 0.5)
-        assert clamped == record.clamped
         assert [s.program for s in replayed] == [s.program for s in record.steps]
+
+
+def test_chain_cap_fails_the_interval(dblint, monkeypatch):
+    """A chain that would exceed the program cap fails its interval, rather
+    than ending the run as if the stop radius had been reached."""
+    monkeypatch.setattr(simloop, "_MAX_CHAIN_PROGRAMS", 3)
+    traj, report = run_closed_loop(dblint, (1, 0), Partition.uniform(0.5), 50)
+    assert report.failure.startswith(
+        "interval [8.0, 8.5): the chain reached its cap of 3 programs ")
+    assert report.failure.endswith(" s before the interval end")
+    assert not report.stopped_early and report.stop_time is None
+    assert report.intervals[-1].steps == []
+    assert not any(record.clamped for record in report.intervals)
+    # every executed program ends at a checkpoint where V has dropped
+    programs = [s.program for record in report.intervals for s in record.steps]
+    assert len(traj.checkpoints) == len(programs) + 1
+    assert traj.checkpoints[-1][0] == traj.times[-1] == 8.0
+    assert all(c.passed for c in verify_facts(traj, report)[:2])
 
 
 def test_closed_loop_determinism(dblint):

@@ -25,13 +25,6 @@ def test_program_validation():
     assert prog.duration == 0.75
 
 
-def test_program_truncation():
-    prog = ControlProgram(((1.0, 0.5), (-1.0, 0.25)))
-    cut = prog.truncated(0.6)
-    assert cut.segments == ((1.0, 0.5), (-1.0, pytest.approx(0.1)))
-    assert prog.truncated(0.3).segments == ((1.0, 0.3),)
-
-
 def test_two_phase_structure():
     prog = two_phase_program(2.0, 3.0, 0.1)
     assert prog.segments[0] == (-6.0, 0.1)
