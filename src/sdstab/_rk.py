@@ -6,7 +6,7 @@ against err <= scale * h keeps the endpoint error roughly proportional
 to the tolerance, so tightening the tolerance tenfold buys a tenfold
 error reduction.
 
-Callers that bound a function of the state along the solution get it between
+The maximum of a scalar function V along the solution is tracked between
 steps too: every accepted step of size h is sampled at the interior points
 theta = j/m, j = 1..m-1, with m = ceil(16 h / duration), of the step's free
 4th-order continuous extension (Shampine 1986; Hairer, Norsett and Wanner,
@@ -14,10 +14,15 @@ Solving ODEs I, II.6), built from the stages k1..k7 already evaluated. The
 sampled grid is thus never coarser than duration/16, no matter how long the
 steps grow, and it costs no evaluation of the right-hand side.
 
-States are lists of Python floats inside the kernel, where numpy's per-call
-overhead would dwarf the arithmetic on a few components, and ndarrays at
-its boundary. Each operation matches its elementwise numpy counterpart in
-order (no fused multiply-add), so results are bit-identical to numpy's.
+The right-hand side is a field F(x1, ..., xn, u) -> (ydot_1, ..., ydot_n)
+on scalar arguments, with the constant input u as its last argument. The
+step and the V maximum over the continuous extension are generated once per
+dimension n as straight-line code on Python floats (numpy's per-call
+overhead would dwarf the arithmetic on a few components); states are tuples
+of floats inside the kernel and ndarrays at its boundary. Each scalar
+operation matches its elementwise numpy counterpart in order (no fused
+multiply-add), so the step is bit-identical to the same step written on
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import numpy as np
 
 __all__ = ["IntegrationError", "integrate_segment"]
 
-Rhs = Callable[[Sequence[float]], Sequence[float]]
+# F(x1, ..., xn, u) -> (ydot_1, ..., ydot_n) and V(x1, ..., xn)
+Field = Callable[..., Sequence[float]]
+Scalar = Callable[..., float]
 
 
 class IntegrationError(RuntimeError):
@@ -80,63 +87,132 @@ _SAFETY = 0.9
 _DIVERGENCE_BOUND = 1e6
 
 
-def _stages(rhs: Rhs, y: list[float], h: float, k1: Sequence[float]):
-    """One step of size h from y, given k1 = rhs(y). Returns the lists
-    y_new and err and the stages (k1, k3, k4, k5, k6, k7) of the continuous
-    extension, where k7 = rhs(y_new) is the next step's k1."""
-    k2 = rhs([a + h * (_A21 * p1) for a, p1 in zip(y, k1)])
-    k3 = rhs([a + h * (_A31 * p1 + _A32 * p2) for a, p1, p2 in zip(y, k1, k2)])
-    k4 = rhs([a + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-              for a, p1, p2, p3 in zip(y, k1, k2, k3)])
-    k5 = rhs([a + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-              for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([a + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-              for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [a + h * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-             for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(y_new)
-    err = [h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
-           for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
-    return y_new, err, (k1, k3, k4, k5, k6, k7)
+def _combo(coeffs, stages, i: int) -> str:
+    """c1 * k<s1>_i + c2 * k<s2>_i + ..., summed left to right; a negative
+    literal c binds before the product, as -c1 * k reads (-c1) * k."""
+    return " + ".join(f"{c} * k{s}_{i}" for c, s in zip(coeffs, stages))
 
 
-def _error_norm(err, y, y_new, atol: float, rtol: float) -> float:
-    """max_i |err_i| / (atol + rtol * max(|y_i|, |y_new_i|)); NaN if any
-    ratio is NaN, as with np.max (Python's max may skip it)."""
-    ratios = [abs(e) / (atol + rtol * max(abs(a), abs(b)))
-              for e, a, b in zip(err, y, y_new)]
-    return max(ratios) if all(r == r for r in ratios) else math.nan
+# the stage inputs y + h * (a_s1 k1 + ... + a_s,s-1 k_s-1) of stages 2..6
+_STAGE_COEFFS = ((_A21,), (_A31, _A32), (_A41, _A42, _A43),
+                 (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65))
+_STEP_STAGES = (1, 3, 4, 5, 6)
+_DENSE_STAGES = (1, 3, 4, 5, 6, 7)
+
+
+def _kernel_source(n: int) -> str:
+    """Source of ``step`` and ``dense_vmax`` for states of n components.
+
+    step(F, u, y, h, k1, atol, rtol) -> (y_new, err, (k1, k3, k4, k5, k6, k7)):
+    one step of size h from y, given k1 = F(*y, u), where err is
+    max_i |err_i| / (atol + rtol * max(|y_i|, |y_new_i|)), NaN if any ratio
+    is NaN (as with np.max), and k7 = F(*y_new, u) is the next step's k1.
+
+    dense_vmax(V, y, h, ks, rows, m): the maximum of m and V at the
+    continuous-extension states y + h * (w1 k1 + w3 k3 + ... + w7 k7) of
+    the step's stages ks, one state per row of weights; a NaN V is skipped.
+    """
+    idx = range(1, n + 1)
+
+    def names(fmt: str) -> str:
+        # a target or tuple list with a trailing comma, valid for n = 1 too
+        return "".join(fmt.format(i) + ", " for i in idx)
+
+    def state(base: str, coeffs, stages) -> str:
+        return ", ".join(f"{base}{i} + h * ({_combo(coeffs, stages, i)})" for i in idx)
+
+    lines = ["def step(F, u, y, h, k1, atol, rtol):",
+             f"    {names('y{}')}= y",
+             f"    {names('k1_{}')}= k1"]
+    for s, coeffs in enumerate(_STAGE_COEFFS, start=2):
+        lines.append(f"    k{s} = F({state('y', [repr(c) for c in coeffs], range(1, s))}, u)")
+        lines.append(f"    {names(f'k{s}_{{}}')}= k{s}")
+    b = [repr(c) for c in (_B1, _B3, _B4, _B5, _B6)]
+    lines += [f"    n{i} = y{i} + h * ({_combo(b, _STEP_STAGES, i)})" for i in idx]
+    lines.append(f"    k7 = F({names('n{}')}u)")
+    lines.append(f"    {names('k7_{}')}= k7")
+    e = [repr(c) for c in (_E1, _E3, _E4, _E5, _E6, _E7)]
+    for i in idx:
+        lines += [f"    a{i} = abs(y{i})",
+                  f"    b{i} = abs(n{i})",
+                  f"    r{i} = abs(h * ({_combo(e, _DENSE_STAGES, i)}))"
+                  f" / (atol + rtol * (b{i} if b{i} > a{i} else a{i}))"]
+    lines.append("    err = r1")
+    for i in idx[1:]:
+        lines += [f"    if r{i} > err:", f"        err = r{i}"]
+    lines += ["    if " + " or ".join(f"r{i} != r{i}" for i in idx) + ":",
+              "        err = _nan",
+              f"    return ({names('n{}')}), err, (k1, k3, k4, k5, k6, k7)",
+              "",
+              "def dense_vmax(V, y, h, ks, rows, m):",
+              f"    {names('y{}')}= y",
+              "    " + ", ".join(f"({names(f'k{s}_{{}}')})" for s in _DENSE_STAGES) + " = ks",
+              "    for w1, w3, w4, w5, w6, w7 in rows:",
+              f"        v = V({state('y', ['w1', 'w3', 'w4', 'w5', 'w6', 'w7'], _DENSE_STAGES)})",
+              "        if v > m:",
+              "            m = v",
+              "    return m"]
+    return "\n".join(lines) + "\n"
+
+
+class _ByDimension(dict):
+    """The generated (step, dense_vmax) of each state dimension, compiled on
+    first use."""
+
+    def __missing__(self, n: int):
+        namespace = {"_nan": math.nan}
+        exec(compile(_kernel_source(n), f"<dormand-prince n={n}>", "exec"), namespace)
+        pair = self[n] = namespace["step"], namespace["dense_vmax"]
+        return pair
+
+
+_KERNELS = _ByDimension()
+
+
+# integrate_segment calls this once per step attempt through the module
+# global, which perfbench/tracing.py patches to count the attempts
+def _stages(field: Field, u: float, y: Sequence[float], h: float, k1: Sequence[float],
+            atol: float, rtol: float):
+    """One step of size h from y, given k1 = field(*y, u): the generated
+    step of y's dimension (see _kernel_source)."""
+    return _KERNELS[len(y)][0](field, u, y, h, k1, atol, rtol)
 
 
 def integrate_segment(
-        rhs: Rhs,
+        field: Field,
+        u: float,
         y0: Sequence[float],
         duration: float,
         tol: float,
         sample_times: Sequence[float] | None = None,
-        on_step: Callable[[float, list[float]], None] | None = None,
-        on_dense: Callable[[list[float]], None] | None = None,
-) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
-    """Integrate ydot = rhs(y) over [0, duration].
+        on_step: Callable[[float, tuple[float, ...]], None] | None = None,
+        v: Scalar | None = None,
+        v_max: float = -math.inf,
+        v_limit: float = math.inf,
+) -> tuple[list[tuple[float, np.ndarray]], np.ndarray, float]:
+    """Integrate ydot = field(*y, u) over [0, duration].
 
-    ``rhs`` is called with lists of floats. Steps land exactly on every
-    requested sample time and on the segment end. Returns (samples, y_end)
-    where samples are (t, y) pairs at the requested times including both
-    endpoints, every y an ``np.ndarray``. ``on_step(t, y)`` is invoked at
-    the start and at every accepted step, for callers that track extrema,
-    with y a list of floats that the kernel does not modify afterwards.
-    ``on_dense(y)`` is invoked, before ``on_step``, at the continuous-extension
-    states inside every accepted step (see the module docstring): together
-    the two callbacks see states never more than duration/16 apart in time.
-    Raises IntegrationError once a component exceeds 1e6 in magnitude.
+    Steps land exactly on every requested sample time and on the segment
+    end. Returns (samples, y_end, v_max) where samples are (t, y) pairs at
+    the requested times including both endpoints, every y an ``np.ndarray``.
+    ``on_step(t, y)`` is invoked at the start and at every accepted step,
+    with y a tuple of floats. Given ``v``, v_max is the largest of the
+    ``v_max`` passed in and V(*y) on the continuous extension inside every
+    accepted step (see the module docstring) and at its end, NaN values
+    skipped: states never more than duration/16 apart in time. Once v_max
+    exceeds ``v_limit`` the integration stops, returning the samples so
+    far, at the end of the accepted step that passed it: before that step's
+    ``on_step`` when one of its extension states did, after it when its end
+    state did. Raises IntegrationError once a component exceeds 1e6 in
+    magnitude.
     """
     if not 0 <= duration < math.inf:
         raise ValueError(f"segment duration must be >= 0 and finite, got {duration}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    y = np.asarray(y0, dtype=float).tolist()
+    y = tuple(np.asarray(y0, dtype=float).tolist())
     if duration == 0.0:
-        return [(0.0, np.array(y)), (0.0, np.array(y))], np.array(y)
+        return [(0.0, np.array(y)), (0.0, np.array(y))], np.array(y), v_max
 
     targets = sorted({float(s) for s in (sample_times or []) if 0.0 < s < duration})
     targets.append(duration)
@@ -149,8 +225,9 @@ def integrate_segment(
     h = duration / 50.0
     t = 0.0
     target_idx = 0
+    dense_vmax = _KERNELS[len(y)][1]
     try:
-        k1 = rhs(y)
+        k1 = field(*y, u)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise IntegrationError(f"right-hand side failed at start: {exc}") from exc
 
@@ -168,25 +245,30 @@ def integrate_segment(
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t = {t}")
         try:
-            y_new, err, ks = _stages(rhs, y, h, k1)
+            y_new, err_norm, ks = _stages(field, u, y, h, k1, atol, rtol)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise IntegrationError(f"right-hand side failed near t = {t}: {exc}") from exc
-        err_norm = _error_norm(err, y, y_new, atol, rtol)
         # a NaN error estimate would leave h unchanged and the step rejected forever
         if err_norm != err_norm or not all(map(math.isfinite, y_new)):
             raise IntegrationError(f"non-finite state or error estimate near t = {t}")
         if err_norm <= h:
-            if on_dense is not None:
-                for w1, w3, w4, w5, w6, w7 in _DENSE_WEIGHTS[
-                        math.ceil(_DENSE_GRID * h / duration)]:
-                    on_dense([a + h * (w1 * p1 + w3 * p3 + w4 * p4 + w5 * p5
-                                       + w6 * p6 + w7 * p7)
-                              for a, p1, p3, p4, p5, p6, p7 in zip(y, *ks)])
+            if v is not None:
+                rows = _DENSE_WEIGHTS[math.ceil(_DENSE_GRID * h / duration)]
+                if rows:
+                    v_max = dense_vmax(v, y, h, ks, rows, v_max)
+                    if v_max > v_limit:
+                        return samples, np.array(y), v_max
             t += h
             y = y_new
             k1 = ks[-1]
             if on_step is not None:
                 on_step(t, y)
+            if v is not None:
+                v_end = v(*y)
+                if v_end > v_max:
+                    v_max = v_end
+                    if v_max > v_limit:
+                        return samples, np.array(y), v_max
             if max(map(abs, y)) > _DIVERGENCE_BOUND:
                 raise IntegrationError(
                     f"state norm exceeded divergence bound {_DIVERGENCE_BOUND} at t = {t}")
@@ -199,4 +281,4 @@ def integrate_segment(
         else:
             factor = _SAFETY * (h / err_norm) ** 0.25
             h *= max(_MIN_FACTOR, min(1.0, factor))
-    return samples, np.array(y)
+    return samples, np.array(y), v_max

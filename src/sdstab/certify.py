@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .lie import (
     LieWord, ScalarField, VectorField, WORD_F, WORD_G, bracket_word,
     directional_derivative, enumerate_monomial_products, lie_bracket,
 )
-from .symcalc import DomainError, evaluate
+from .symcalc import DomainError, compile_affine, compile_scalar, evaluate
 
 __all__ = [
     "Case", "Certificate", "SystemDef", "GridEntry",
@@ -79,11 +80,10 @@ class SystemDef:
     g: VectorField
     V: ScalarField
     # the scalar fields of bracket monomials (keyed by ("scalar", word
-    # tuple)), realized bracket words (keyed by word), the monomials of each
-    # exact order (keyed by ("products", N)) and compiled right-hand sides
-    # (keyed by ("rhs", u)). The first point at n_max 5 where every monomial
-    # vanishes builds 395 scalars and 216 word fields in 0.052 s (2-core
-    # host); later points only evaluate.
+    # tuple)), realized bracket words (keyed by word) and the monomials of
+    # each exact order (keyed by ("products", N)). The first point at n_max 5
+    # where every monomial vanishes builds 395 scalars and 216 word fields in
+    # 0.052 s (2-core host); later points only evaluate.
     _fns: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -115,15 +115,18 @@ class SystemDef:
     def dim(self) -> int:
         return self.f.dim
 
+    @cached_property
+    def kernel_fns(self):
+        """(F, V) on scalar arguments, for the RK kernel: F(x1, ..., xn, u)
+        returns the tuple of f_i + u g_i (see symcalc.compile_affine) and
+        V(x1, ..., xn) the value of V. Compiled on first use."""
+        return (compile_affine(self.f.components, self.g.components),
+                compile_scalar(self.V.body, self.dim))
+
     def rhs(self, u: float):
-        """Compiled right-hand side x -> f(x) + u*g(x) as a list of floats,
-        cached per value."""
-        u = float(u)
-        fn = self._fns.get(("rhs", u))
-        if fn is None:
-            fn = (self.f + self.g.scaled(u)).compiled()
-            self._fns[("rhs", u)] = fn
-        return fn
+        """x -> f(x) + u*g(x) as a list of floats, through kernel_fns' F."""
+        field, u = self.kernel_fns[0], float(u)
+        return lambda x: list(field(*x, u))
 
     def v_value(self, x) -> float:
         """V(x) at a state of this system; raises ValueError unless x has

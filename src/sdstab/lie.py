@@ -79,8 +79,8 @@ class VectorField:
         return cls(tuple(parse(t, dim) for t in texts), dim)
 
     def compiled(self):
-        """Compiled field x -> [X_1(x), ..., X_n(x)] (a list: the RK kernel
-        works on lists of floats), all components in one compiled call."""
+        """Compiled field x -> [X_1(x), ..., X_n(x)] as a list, all
+        components in one compiled call."""
         fused = compile_expr(self.components)
         # the wrapper costs one call, but it is a lambda written here, and
         # perfbench/profile_check.py counts rhs evaluations as its calls

@@ -39,7 +39,7 @@ __all__ = [
     "Add", "Sub", "Mul", "Div", "Pow",
     "ExprError", "ParseError", "DomainError",
     "parse", "differentiate", "simplify", "evaluate",
-    "compile_expr", "max_var_index", "to_text",
+    "compile_expr", "compile_scalar", "compile_affine", "max_var_index", "to_text",
 ]
 
 
@@ -587,33 +587,34 @@ _NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math
               "inf": math.inf, "nan": math.nan}
 
 
-def _pycode(e: Expr) -> str:
+def _pycode(e: Expr, var: str = "_x[{}]") -> str:
+    """Python source of e, with x_i written as var.format(i - 1)."""
     if isinstance(e, Const):
         # parenthesized when negative: -1.0**2 would read as -(1.0**2)
         text = repr(float(e.value))
         return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
-        return f"_x[{e.index - 1}]"
+        return var.format(e.index - 1)
     if isinstance(e, Neg):
-        return f"(-{_pycode(e.arg)})"
+        return f"(-{_pycode(e.arg, var)})"
     if isinstance(e, Sin):
-        return f"_sin({_pycode(e.arg)})"
+        return f"_sin({_pycode(e.arg, var)})"
     if isinstance(e, Cos):
-        return f"_cos({_pycode(e.arg)})"
+        return f"_cos({_pycode(e.arg, var)})"
     if isinstance(e, Exp):
-        return f"_exp({_pycode(e.arg)})"
+        return f"_exp({_pycode(e.arg, var)})"
     if isinstance(e, Ln):
-        return f"_log({_pycode(e.arg)})"
+        return f"_log({_pycode(e.arg, var)})"
     if isinstance(e, Add):
-        return f"({_pycode(e.left)}+{_pycode(e.right)})"
+        return f"({_pycode(e.left, var)}+{_pycode(e.right, var)})"
     if isinstance(e, Sub):
-        return f"({_pycode(e.left)}-{_pycode(e.right)})"
+        return f"({_pycode(e.left, var)}-{_pycode(e.right, var)})"
     if isinstance(e, Mul):
-        return f"({_pycode(e.left)}*{_pycode(e.right)})"
+        return f"({_pycode(e.left, var)}*{_pycode(e.right, var)})"
     if isinstance(e, Div):
-        return f"({_pycode(e.left)}/{_pycode(e.right)})"
+        return f"({_pycode(e.left, var)}/{_pycode(e.right, var)})"
     if isinstance(e, Pow):
-        return f"({_pycode(e.base)}**{e.exponent})"
+        return f"({_pycode(e.base, var)}**{e.exponent})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -622,9 +623,9 @@ def compile_expr(
     """Compile a tree to a fast float function of the state vector, or a
     sequence of trees to one function returning the list of their values.
 
-    For V and the integrator's right-hand sides, small trees evaluated at
-    many states; certification evaluates its many larger trees once per
-    point with evaluate() instead, which costs less than compiling them.
+    For V and fields, small trees evaluated at many states; certification
+    evaluates its many larger trees once per point with evaluate() instead,
+    which costs less than compiling them.
     Same float semantics as evaluate() on the same tree shape, but on
     Python floats domain violations surface as ZeroDivisionError,
     ValueError or OverflowError from the runtime. A list is one list display
@@ -637,6 +638,38 @@ def compile_expr(
         body = "[" + ", ".join(_pycode(c) for c in e) + "]"
     # one globals dict for every compiled tree: the functions only read it
     return eval(f"lambda _x: {body}", _NAMESPACE)
+
+
+def _scalar_lambda(body: str, dim: int, extra: str = ""):
+    """A function of x1..xn as the positional arguments _x0.._x{n-1}, then
+    ``extra``, returning ``body``."""
+    params = ", ".join(f"_x{i}" for i in range(dim))
+    return eval(f"lambda {params}{extra}: {body}", _NAMESPACE)
+
+
+def compile_scalar(e: Expr, dim: int) -> Callable[..., float]:
+    """Compile a tree of x1..x_dim to a function of the coordinates as
+    separate float arguments, with compile_expr's float operations."""
+    return _scalar_lambda(_pycode(e, "_x{}"), dim)
+
+
+def compile_affine(f: Sequence[Expr], g: Sequence[Expr]) -> Callable[..., tuple]:
+    """Compile xdot = f(x) + u g(x) to F(x1, ..., xn, u) -> the tuple of
+    components, u an argument. Component i is simplify(f_i) + u *
+    simplify(g_i), with a term whose tree is the constant 0 dropped and a g
+    factor that is the constant 1 written as a bare u. For u != 0 that is
+    the code of simplify(f_i + u g_i), the tree a fixed u gives; at u = 0 a
+    kept g term still runs, so the sign of a zero component can differ from
+    that tree's, and a non-finite value or domain error of g_i shows."""
+    terms = []
+    for fi, gi in zip(f, g):
+        fi, gi = simplify(fi), simplify(gi)
+        if _is_const(gi, 0):
+            terms.append(_pycode(fi, "_x{}"))
+            continue
+        u_term = "u" if _is_const(gi, 1) else f"(u*{_pycode(gi, '_x{}')})"
+        terms.append(u_term if _is_const(fi, 0) else f"({_pycode(fi, '_x{}')}+{u_term})")
+    return _scalar_lambda("(" + "".join(t + ", " for t in terms) + ")", len(terms), ", u")
 
 
 # --- parsing --------------------------------------------------------------

@@ -116,35 +116,27 @@ def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
     """Samples and max-V along a program: the (t, state) pairs, t from the
     program's start, at each multiple of ``sample_dt`` inside every segment
     (none by default) and at every segment end, so that the last sample is
-    the end state. V is tracked at every accepted step and on the continuous
-    extension inside it, so that it is sampled at least every duration/16 of
-    each segment while the step size follows the error control alone. Raises
-    _BoundExceeded at the first sample (x0 included) where V exceeds
-    ``v_limit``, so that a caller that rejects such a program does not pay
-    for the rest of it."""
+    the end state. V is checked at x0, and by the integrator at every
+    accepted step and on the continuous extension inside it, so that it is
+    sampled at least every duration/16 of each segment while the step size
+    follows the error control alone. The bound is checked once per accepted
+    step: _BoundExceeded is raised at x0, or after the step whose states
+    first bring V above ``v_limit``, so that a caller that rejects such a
+    program does not pay for the rest of it."""
     y = np.asarray(x0, dtype=float)
-    v_at = sys.v_at
-    v_max = v_at(y)
+    v_max = sys.v_at(y)
     if v_max > v_limit:
         raise _BoundExceeded
-
-    def track(*point):
-        # called as on_step(t, state) and as on_dense(state); a sample at
-        # or below v_max is within the limit, since v_max is
-        nonlocal v_max
-        v = v_at(point[-1])
-        if v > v_max:
-            v_max = v
-            if v > v_limit:
-                raise _BoundExceeded
-
+    field, v = sys.kernel_fns
     out = []
     t_base = 0.0
     for value, duration in program.segments:
         interior = None if sample_dt is None else _interior_grid(duration, sample_dt)
-        samples, y = integrate_segment(
-            sys.rhs(value), y, duration, tol, sample_times=interior,
-            on_step=track, on_dense=track)
+        samples, y, v_max = integrate_segment(
+            field, float(value), y, duration, tol, sample_times=interior,
+            v=v, v_max=v_max, v_limit=v_limit)
+        if v_max > v_limit:
+            raise _BoundExceeded
         out.extend((t_base + s, state) for s, state in samples[1:])
         t_base += duration
     return out, v_max

@@ -1,9 +1,9 @@
 """The Dormand-Prince kernel against a vectorized numpy reference.
 
-The kernel runs on lists of Python floats; the reference below is the same
-step written as elementwise numpy expressions. Both must perform the same
-IEEE operations in the same order, so their results are compared bit for
-bit, not to a tolerance.
+The kernel's step is generated code on Python floats; the reference below is
+the same step written as elementwise numpy expressions. Both must perform
+the same IEEE operations in the same order, so their results are compared
+bit for bit, not to a tolerance.
 """
 
 import math
@@ -15,19 +15,27 @@ import hypothesis.strategies as st
 
 from sdstab import _rk
 from sdstab._rk import IntegrationError, integrate_segment
-from sdstab.lie import VectorField
+from sdstab.certify import SystemDef
+from sdstab.lie import ScalarField, VectorField
+from sdstab.symcalc import ZERO, compile_affine
 
 
-def fixed_steps(rhs, y0, duration, steps):
-    """Propagate with a fixed step through the kernel's step (no error
-    control); 5th-order endpoint."""
-    y = np.asarray(y0, dtype=float).tolist()
+def fixed_steps(field, u, y0, duration, steps):
+    """Propagate ydot = field(*y, u) with a fixed step through the kernel's
+    step (no error control); 5th-order endpoint."""
+    y = tuple(np.asarray(y0, dtype=float).tolist())
     h = duration / steps
-    k1 = rhs(y)
+    k1 = field(*y, u)
     for _ in range(steps):
-        y, _, ks = _rk._stages(rhs, y, h, k1)
+        y, _, ks = _rk._stages(field, u, y, h, k1, 1.0, 1.0)
         k1 = ks[-1]
     return np.array(y)
+
+
+def _field(*components):
+    """F(x1, ..., xn, u) of the drift given by the component strings."""
+    f = VectorField.from_strings(components, len(components))
+    return compile_affine(f.components, (ZERO,) * f.dim)
 
 
 def reference_stages(rhs, y, h, k1):
@@ -57,50 +65,95 @@ def _bits(values) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def systems(dblint, planar_cubic, rotation3):
-    return {"dblint": dblint, "planar_cubic": planar_cubic, "rotation3": rotation3}
+def scalar_system():
+    """A 1-d system: the only dimension whose error norm is a single ratio."""
+    return SystemDef(
+        VectorField.from_strings(["sin(x1)-x1^3/(1+x1^2)"], 1),
+        VectorField.from_strings(["2+cos(x1)"], 1),
+        ScalarField.from_string("x1^2+x1^4/4", 1),
+    )
+
+
+@pytest.fixture(scope="module")
+def systems(dblint, planar_cubic, rotation3, scalar_system):
+    return {"dblint": dblint, "planar_cubic": planar_cubic, "rotation3": rotation3,
+            "scalar": scalar_system}
 
 
 _coords = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+# 0.0 is the input of the ArtsteinSontag and P1 programs; the others use
+# signed powers of two
+_inputs = st.one_of(st.just(0.0),
+                    st.builds(lambda s, j: s * 2.0 ** j,
+                              st.sampled_from([1.0, -1.0]), st.integers(-10, 10)),
+                    st.floats(min_value=-1e3, max_value=1e3))
+
+
+def _tracked_max(values, m):
+    """The running maximum of the former V tracker: a NaN never replaces m."""
+    for v in values:
+        if v > m:
+            m = v
+    return m
 
 
 @given(data=st.data(),
-       name=st.sampled_from(["dblint", "planar_cubic", "rotation3"]),
-       u=st.sampled_from([0.0, 1.0, -1.0, 0.375, -8.0]),
+       name=st.sampled_from(["dblint", "planar_cubic", "rotation3", "scalar"]),
+       u=_inputs,
        h=st.floats(min_value=1e-9, max_value=0.5),
-       tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
-@settings(max_examples=300, deadline=None)
-def test_stages_bitwise_equal_to_numpy_reference(systems, data, name, u, h, tol):
+       tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+       m=st.integers(1, _rk._DENSE_GRID))
+@settings(max_examples=400, deadline=None)
+def test_generated_step_bitwise_equal_to_numpy_reference(systems, data, name, u, h, tol, m):
     sysd = systems[name]
-    y = data.draw(st.lists(_coords, min_size=sysd.dim, max_size=sysd.dim))
-    rhs = sysd.rhs(u)
+    field, v = sysd.kernel_fns
+    y = tuple(data.draw(st.lists(_coords, min_size=sysd.dim, max_size=sysd.dim)))
 
-    def rhs_np(x):
-        return np.array(rhs(x))
+    def field_np(x):
+        return np.array(field(*x.tolist(), u))
 
     y_np = np.array(y)
-    ref_new, ref_err, ref_ks = reference_stages(rhs_np, y_np, h, rhs_np(y_np))
-    y_new, err, ks = _rk._stages(rhs, y, h, rhs(y))
-    assert len(ks) == 6
-    assert all(type(v) is float for v in y_new + err + [c for k in ks for c in k])
+    atol, rtol = tol * 1e-2, tol
+    ref_new, ref_err, ref_ks = reference_stages(field_np, y_np, h, field_np(y_np))
+    y_new, err, ks = _rk._stages(field, u, y, h, field(*y, u), atol, rtol)
+    assert len(y_new) == sysd.dim and len(ks) == 6
+    assert all(type(c) is float for c in (*y_new, err, *(c for k in ks for c in k)))
     assert _bits(y_new) == _bits(ref_new)
-    assert _bits(err) == _bits(ref_err)
+    assert _bits([err]) == _bits([reference_error_norm(ref_err, y_np, ref_new, atol, rtol)])
     # k7 (the next step's k1) and the other stages of the continuous extension
     assert all(_bits(k) == _bits(ref) for k, ref in zip(ks, ref_ks))
-    atol, rtol = tol * 1e-2, tol
-    got = _rk._error_norm(err, y, y_new, atol, rtol)
-    want = reference_error_norm(ref_err, y_np, ref_new, atol, rtol)
-    assert _bits([got]) == _bits([want])
+
+    # V over the continuous extension, against the former comprehension
+    rows = _rk._DENSE_WEIGHTS[m]
+    states = [[a + h * (w1 * p1 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7)
+               for a, p1, p3, p4, p5, p6, p7 in zip(y, *ks)]
+              for w1, w3, w4, w5, w6, w7 in rows]
+    start = sysd.v_at(list(y))
+    got = _rk._KERNELS[sysd.dim][1](v, y, h, ks, rows, start)
+    assert _bits([got]) == _bits([_tracked_max([sysd.v_at(s) for s in states], start)])
 
 
 def test_error_norm_propagates_nan_in_any_component():
-    y = [1.0, 1.0, 1.0]
-    for pos in range(3):
-        err = [1e-3, 1e-3, 1e-3]
-        err[pos] = math.nan
-        assert math.isnan(_rk._error_norm(err, y, y, 1e-12, 1e-10))
-        ref = reference_error_norm(np.array(err), np.array(y), np.array(y), 1e-12, 1e-10)
-        assert math.isnan(ref)
+    # the sixth field call of a step is k7 = F(*y_new, u): a NaN there
+    # reaches the error ratio of one component and nothing else
+    for dim in (1, 3):
+        for pos in range(dim):
+            calls = [0]
+
+            def field(*args, pos=pos, calls=calls, dim=dim):
+                calls[0] += 1
+                rate = [1.0] * dim
+                if calls[0] == 6:
+                    rate[pos] = math.nan
+                return tuple(rate)
+            y = (1.0,) * dim
+            y_new, err, _ = _rk._stages(field, 0.0, y, 0.1, (1.0,) * dim, 1e-12, 1e-10)
+            assert calls[0] == 6 and all(map(math.isfinite, y_new))
+            assert math.isnan(err)
+            errs = np.full(dim, 1e-3)
+            errs[pos] = math.nan
+            assert math.isnan(reference_error_norm(errs, np.array(y), np.array(y),
+                                                   1e-12, 1e-10))
 
 
 def _nan_on_call(n):
@@ -108,11 +161,11 @@ def _nan_on_call(n):
     component; like any real field, it passes a NaN in its argument on."""
     calls = [0]
 
-    def rhs(x):
+    def field(x1, x2, u):
         calls[0] += 1
-        rate = [1.0 + 0.0 * x[1], 1.0 + 0.0 * x[0]]
-        return [rate[0], math.nan] if calls[0] == n else rate
-    return rhs
+        rate = (1.0 + 0.0 * x2, 1.0 + 0.0 * x1)
+        return (rate[0], math.nan) if calls[0] == n else rate
+    return field
 
 
 @pytest.mark.parametrize("stage", range(2, 8))
@@ -120,51 +173,49 @@ def test_nan_at_any_stage_ends_in_integration_error(stage):
     # call 1 is k1 at the start; calls 2..7 are stages k2..k7 of the first step
     accepted = []
     with pytest.raises(IntegrationError, match="non-finite"):
-        integrate_segment(_nan_on_call(stage), [0.0, 0.0], 1.0, 1e-10,
+        integrate_segment(_nan_on_call(stage), 0.0, [0.0, 0.0], 1.0, 1e-10,
                           on_step=lambda t, y: accepted.append(t))
     assert accepted == [0.0]
 
 
 def test_rhs_domain_errors_become_integration_errors():
-    reciprocal = VectorField.from_strings(["1/x1"], 1).compiled()
     with pytest.raises(IntegrationError, match="at start"):
-        integrate_segment(reciprocal, [0.0], 1.0, 1e-10)
-    power = VectorField.from_strings(["x1^9"], 1).compiled()
+        integrate_segment(_field("1/x1"), 0.0, [0.0], 1.0, 1e-10)
     with pytest.raises(IntegrationError):
-        integrate_segment(power, [1e40], 1.0, 1e-10)
+        integrate_segment(_field("x1^9"), 0.0, [1e40], 1.0, 1e-10)
 
 
 def test_tolerance_must_be_positive():
-    rhs = VectorField.from_strings(["-x1"], 1).compiled()
     for tol in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
-            integrate_segment(rhs, [1.0], 1.0, tol)
+            integrate_segment(_field("-x1"), 0.0, [1.0], 1.0, tol)
 
 
 def test_duration_must_be_non_negative_and_finite():
-    rhs = VectorField.from_strings(["-x1"], 1).compiled()
     for duration in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="segment duration"):
-            integrate_segment(rhs, [1.0], duration, 1e-10)
+            integrate_segment(_field("-x1"), 0.0, [1.0], duration, 1e-10)
 
 
 def test_boundary_types_are_arrays(dblint):
-    rhs = dblint.rhs(1.0)
+    field = dblint.kernel_fns[0]
     seen = []
-    samples, y_end = integrate_segment(
-        rhs, np.array([1.0, 0.0]), 0.5, 1e-10, sample_times=[0.25],
+    samples, y_end, v_max = integrate_segment(
+        field, 1.0, np.array([1.0, 0.0]), 0.5, 1e-10, sample_times=[0.25],
         on_step=lambda t, y: seen.append(y))
     assert isinstance(y_end, np.ndarray) and y_end.shape == (2,)
     assert [t for t, _ in samples] == [0.0, 0.25, 0.5]
     assert all(isinstance(y, np.ndarray) and y.shape == (2,) for _, y in samples)
     assert _bits(samples[-1][1]) == _bits(y_end)
-    assert all(isinstance(y, list) for y in seen)
+    assert all(isinstance(y, tuple) for y in seen)
+    # no V given: v_max is the value passed in
+    assert v_max == -math.inf
     # ydot = (x2, 1) from (1, 0): x(t) = (1 + t^2/2, t)
     np.testing.assert_allclose(y_end, [1.125, 0.5], rtol=1e-12)
-    samples, y_end = integrate_segment(rhs, [1.0, 0.0], 0.0, 1e-10)
+    samples, y_end, _ = integrate_segment(field, 1.0, [1.0, 0.0], 0.0, 1e-10)
     assert isinstance(y_end, np.ndarray)
     assert all(isinstance(y, np.ndarray) for _, y in samples)
-    end = fixed_steps(rhs, [1.0, 0.0], 0.5, 8)
+    end = fixed_steps(field, 1.0, [1.0, 0.0], 0.5, 8)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
     np.testing.assert_allclose(end, [1.125, 0.5], rtol=1e-12)
 
@@ -181,50 +232,84 @@ def test_dense_weights_at_one_are_the_step_weights():
 def test_dense_states_follow_the_exact_solution():
     # x' = -x from 1: steps grow beyond duration/16 on a segment this short,
     # so the check between steps has to come from the continuous extension
-    rhs = VectorField.from_strings(["-x1"], 1).compiled()
     duration = 0.2
-    calls = []
-    _, y_end = integrate_segment(
-        rhs, [1.0], duration, 1e-10,
-        on_step=lambda t, y: calls.append((t, y)),
-        on_dense=lambda y: calls.append((None, y)))
-    steps = [(t, y) for t, y in calls if t is not None]
-    assert steps[0][0] == 0.0 and steps[-1][0] == duration
+    events = []
+
+    def v(x1):
+        events.append(("v", x1))
+        return x1
+
+    _, y_end, v_max = integrate_segment(
+        _field("-x1"), 0.0, [1.0], duration, 1e-10,
+        on_step=lambda t, y: events.append((t, y[0])), v=v)
+    # each accepted step evaluates V at its extension's states, then calls
+    # on_step, then evaluates V at its end state
+    assert events[0] == (0.0, 1.0)
+    sampled_v = [x for kind, x in events if kind == "v"]
     dense_count = 0
     t_prev, pending = 0.0, []
     times = [0.0]
-    for t, y in calls[1:]:
-        if t is None:
-            pending.append(y)
+    events = iter(events[1:])
+    for kind, value in events:
+        if kind == "v":
+            pending.append(value)
             continue
+        t = kind
+        assert next(events) == ("v", value)
         h = t - t_prev
         m = math.ceil(16 * h / duration)
         assert len(pending) == m - 1
-        for j, y_dense in enumerate(pending, start=1):
+        for j, x_dense in enumerate(pending, start=1):
             s = t_prev + j / m * h
-            assert abs(y_dense[0] - math.exp(-s)) <= 1e-9
+            assert abs(x_dense - math.exp(-s)) <= 1e-9
             times.append(s)
         times.append(t)
         dense_count += len(pending)
         t_prev, pending = t, []
     assert pending == []
     assert dense_count > 0
+    assert times[-1] == duration
     assert max(b - a for a, b in zip(times, times[1:])) <= duration / 16 * (1 + 1e-12)
     assert abs(y_end[0] - math.exp(-duration)) <= 1e-9
+    # V = x1 decreases, so its maximum is at the first sample after x0
+    assert v_max == sampled_v[0] == max(sampled_v)
 
 
 def test_dense_output_evaluates_no_rhs(dblint):
+    field, v = dblint.kernel_fns
     counted = [0]
-    rhs = dblint.rhs(1.0)
 
-    def counting(x):
+    def counting(*args):
         counted[0] += 1
-        return rhs(x)
+        return field(*args)
 
-    dense = []
-    integrate_segment(counting, [1.0, 0.0], 0.5, 1e-10)
+    integrate_segment(counting, 1.0, [1.0, 0.0], 0.5, 1e-10)
     without = counted[0]
     counted[0] = 0
-    integrate_segment(counting, [1.0, 0.0], 0.5, 1e-10, on_dense=dense.append)
+    dense = []
+
+    def recording(*x):
+        dense.append(x)
+        return v(*x)
+
+    integrate_segment(counting, 1.0, [1.0, 0.0], 0.5, 1e-10, v=recording)
     assert counted[0] == without
     assert dense
+
+
+def test_v_limit_stops_after_the_step_that_passes_it(peak_inside_step):
+    # V rises from 0.01 to 0.25 under u = -1 from (0, 1), mostly inside
+    # the first accepted step (see the fixture)
+    field, v = peak_inside_step.kernel_fns
+    steps = []
+    full = integrate_segment(field, -1.0, [0.0, 1.0], 2.0, 1e-10, v=v, v_max=0.01,
+                             on_step=lambda t, y: steps.append(t))
+    assert 0.249 <= full[2] <= 0.25 and steps[-1] == 2.0
+    cut_steps = []
+    samples, y, v_max = integrate_segment(
+        field, -1.0, [0.0, 1.0], 2.0, 1e-10, v=v, v_max=0.01, v_limit=0.1,
+        on_step=lambda t, y: cut_steps.append(t))
+    assert v_max > 0.1
+    assert [t for t, _ in samples] == [0.0]
+    # stopped before the step whose extension passed the limit was reported
+    assert cut_steps == steps[:len(cut_steps)] and len(cut_steps) < len(steps)

@@ -165,7 +165,7 @@ def observed_integration_order(sys, x0, u, duration, exact_end,
     """Fixed-step convergence slope against a closed-form endpoint."""
     errors = []
     for steps in step_counts:
-        end = fixed_steps(sys.rhs(u), np.asarray(x0, dtype=float), duration, steps)
+        end = fixed_steps(sys.kernel_fns[0], u, x0, duration, steps)
         errors.append(float(np.linalg.norm(end - exact_end)))
     hs = [duration / s for s in step_counts]
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])

@@ -17,7 +17,8 @@ from sdstab.lie import VectorField
 from sdstab.symcalc import (
     Add, Const, Cos, DomainError, Div, Exp, ExprError, Ln, Mul, Neg, ParseError,
     Pow, Sin, Sub, Var, ONE, ZERO, _add, _div, _mul, _neg, _pow, _sub,
-    compile_expr, differentiate, evaluate, max_var_index, parse, simplify, to_text,
+    compile_affine, compile_expr, differentiate, evaluate, max_var_index, parse,
+    simplify, to_text,
 )
 
 
@@ -263,6 +264,75 @@ def test_division_by_literal_zero_at_construction():
 def test_pow_requires_integer_exponent():
     with pytest.raises(ExprError):
         Pow(Var(1), 1.5)
+
+
+# --- the control-affine field ---------------------------------------------------
+
+def _polynomials(dim: int):
+    """Sums and differences of up to three terms c * x_i^e * x_j^e', with
+    zero, unit and non-dyadic coefficients and some negated terms."""
+    coefficient = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, Fraction(1, 3), Fraction(-5, 2)])
+    factor = st.tuples(st.integers(1, dim), st.integers(1, 3))
+    term = st.tuples(coefficient, st.lists(factor, max_size=2), st.booleans())
+
+    def build(terms):
+        out = None
+        for (c, factors, negated), plus in terms:
+            t = Const(Fraction(c))
+            for i, e in factors:
+                t = Mul(t, Pow(Var(i), e))
+            t = Neg(t) if negated else t
+            out = t if out is None else (Add(out, t) if plus else Sub(out, t))
+        return out
+    return st.lists(st.tuples(term, st.booleans()), min_size=1, max_size=3).map(build)
+
+
+# 0.0 is the input of the ArtsteinSontag and P1 programs; the others use
+# signed powers of two
+_inputs = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.builds(lambda s, j: s * 2.0 ** j,
+                              st.sampled_from([1.0, -1.0]), st.integers(-10, 10)),
+                    st.floats(min_value=-1e3, max_value=1e3))
+
+
+def _all_bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+@given(data=st.data(), u=_inputs)
+@settings(max_examples=300, deadline=None)
+def test_affine_field_matches_the_tree_of_each_input(data, u):
+    """F(*x, u) against the simplified tree of f + u g at that u. For u != 0
+    they are the same code. At u = 0 the tree drops the g term and F
+    computes f_i + 0*g_i, which differs only in the sign of a zero."""
+    dim = data.draw(st.integers(1, 3))
+    f = tuple(data.draw(_polynomials(dim)) for _ in range(dim))
+    g = tuple(data.draw(_polynomials(dim)) for _ in range(dim))
+    x = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2, 2),
+                           min_size=dim, max_size=dim))
+    tree = (VectorField(f, dim) + VectorField(g, dim).scaled(u)).compiled()(x)
+    got = compile_affine(f, g)(*x, u)
+    assert type(got) is tuple and len(got) == dim
+    if u != 0:
+        assert _all_bits(got) == _all_bits(tree)
+    else:
+        assert list(got) == tree
+        assert all(a == 0 or _bits(a) == _bits(b) for a, b in zip(got, tree))
+
+
+@pytest.mark.parametrize("name", ["dblint", "planar_cubic", "rotation3"])
+@given(data=st.data(), u=_inputs.filter(lambda u: math.copysign(1.0, u) > 0 or u != 0))
+@settings(max_examples=100, deadline=None)
+def test_bundled_affine_fields_match_the_tree_of_each_input(request, name, data, u):
+    # no program input is -0.0 (two_phase_program normalizes it); there the
+    # bare u of g = 1 is -0.0 where the tree folds 0 + (-0.0) to 0.0
+    sysd = request.getfixturevalue(name)
+    x = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-4, 4),
+                           min_size=sysd.dim, max_size=sysd.dim))
+    tree = (sysd.f + sysd.g.scaled(u)).compiled()(x)
+    assert _all_bits(sysd.kernel_fns[0](*x, u)) == _all_bits(tree)
+    assert _all_bits(sysd.rhs(u)(x)) == _all_bits(tree)
+    assert _bits(sysd.kernel_fns[1](*x)) == _bits(sysd.v_at(x))
 
 
 # --- interning and memos --------------------------------------------------------------

@@ -273,28 +273,28 @@ def test_best_drop_counts_only_candidates_within_the_bound(planar_cubic):
 
 
 def _recording(sysd):
-    """A copy of the system that records every V it evaluates and counts
-    its rhs evaluations."""
+    """A copy of the system that records every V it evaluates, in order,
+    and counts its field evaluations."""
     copy = SystemDef(sysd.f, sysd.g, sysd.V)
-    vs, rhs_calls, v_at, rhs = [], [0], copy.v_at, copy.rhs
+    vs, field_calls, v_at, (field, v) = [], [0], copy.v_at, copy.kernel_fns
 
-    def recorded_v(x):
+    def recorded_v_at(x):
         vs.append(v_at(x))
         return vs[-1]
 
-    def counted_rhs(u):
-        fn = rhs(u)
+    def recorded_v(*x):
+        vs.append(v(*x))
+        return vs[-1]
 
-        def counted(x):
-            rhs_calls[0] += 1
-            return fn(x)
-        return counted
+    def counted_field(*args):
+        field_calls[0] += 1
+        return field(*args)
 
-    copy.v_at, copy.rhs = recorded_v, counted_rhs
-    return copy, vs, rhs_calls
+    copy.v_at, copy.kernel_fns = recorded_v_at, (counted_field, recorded_v)
+    return copy, vs, field_calls
 
 
-def test_flow_endpoint_stops_at_the_first_sample_above_the_limit(peak_inside_step):
+def test_flow_endpoint_stops_after_the_step_that_passes_the_limit(peak_inside_step):
     # V rises from 0.01 to 0.25 along this program
     program = ControlProgram(((-1.0, 2.0),))
     full, full_vs, full_calls = _recording(peak_inside_step)
@@ -303,13 +303,16 @@ def test_flow_endpoint_stops_at_the_first_sample_above_the_limit(peak_inside_ste
     with pytest.raises(_BoundExceeded):
         flow_endpoint(cut, [0.0, 1.0], program, v_limit=0.1)
     first_above = next(i for i, v in enumerate(full_vs) if v > 0.1)
-    assert cut_vs == full_vs[:first_above + 1]
+    # the cut run samples what the full run samples, up to the rest of the
+    # step that passes the limit: at most its 15 extension states and its end
+    assert cut_vs == full_vs[:len(cut_vs)]
+    assert first_above < len(cut_vs) <= first_above + 16
     assert 0 < cut_calls[0] < full_calls[0]
-    # the start counts too, before any rhs evaluation
-    start, _, start_calls = _recording(peak_inside_step)
+    # the start counts too, before any field evaluation
+    start, start_vs, start_calls = _recording(peak_inside_step)
     with pytest.raises(_BoundExceeded):
         flow_endpoint(start, [0.0, 1.0], program, v_limit=0.005)
-    assert start_calls[0] == 0
+    assert start_calls[0] == 0 and len(start_vs) == 1
 
 
 def test_grids_exhausted_reports_best(dblint):
