@@ -15,6 +15,9 @@ sources and system files:
   rotation3 1,0,0 (P4), comparing step_program.csv;
 - `sdstab certify-grid` on rotation3 over [-1, 1]^3 at 11^3 points,
   comparing certificates.csv;
+- `sdstab diagnose-m` on rotation3 at 1,0,0 with --order 4, comparing
+  m_derivatives.csv, and `sdstab cbh-check` on rotation3 at 1,1,0 with
+  --k 3 --t 0,0.01,0.1, comparing cbh_residuals.csv;
 
 and the stdout of each. The base and working-tree runs of one command run
 side by side, one process each. Prints one line per command and exits 1 if
@@ -49,7 +52,15 @@ RUNS = (
     + (("certify-grid rotation3 11^3",
         ("certify-grid", "--system", "systems/rotation3.sys",
          "--box=-1:1,-1:1,-1:1", "--res", "11,11,11"),
-        ("certificates.csv",)),))
+        ("certificates.csv",)),
+       ("diagnose-m rotation3 --at 1,0,0 --order 4",
+        ("diagnose-m", "--system", "systems/rotation3.sys", "--at", "1,0,0",
+         "--order", "4"),
+        ("m_derivatives.csv",)),
+       ("cbh-check rotation3 --at 1,1,0 --k 3",
+        ("cbh-check", "--system", "systems/rotation3.sys", "--at", "1,1,0",
+         "--k", "3", "--t", "0,0.01,0.1"),
+        ("cbh_residuals.csv",))))
 
 
 def _start(tree: Path, out: Path, args: tuple[str, ...]):

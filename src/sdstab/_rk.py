@@ -6,9 +6,10 @@ against err <= scale * h keeps the endpoint error roughly proportional
 to the tolerance, so tightening the tolerance tenfold buys a tenfold
 error reduction.
 
-The maximum of a scalar function V along the solution is tracked between
-steps too: every accepted step of size h is sampled at the interior points
-theta = j/m, j = 1..m-1, with m = ceil(16 h / duration), of the step's free
+The maximum of a scalar function V along the solution is always tracked,
+at the end of every accepted step and between steps too: every accepted
+step of size h is sampled at the interior points theta = j/m,
+j = 1..m-1, with m = ceil(16 h / duration), of the step's free
 4th-order continuous extension (Shampine 1986; Hairer, Norsett and Wanner,
 Solving ODEs I, II.6), built from the stages k1..k7 already evaluated. The
 sampled grid is thus never coarser than duration/16, no matter how long the
@@ -184,19 +185,20 @@ def integrate_segment(
         y0: Sequence[float],
         duration: float,
         tol: float,
+        v: Scalar,
+        v_max: float,
         sample_times: Sequence[float] | None = None,
         on_step: Callable[[float, tuple[float, ...]], None] | None = None,
-        v: Scalar | None = None,
-        v_max: float = -math.inf,
         v_limit: float = math.inf,
 ) -> tuple[list[tuple[float, np.ndarray]], np.ndarray, float]:
-    """Integrate ydot = field(*y, u) over [0, duration].
+    """Integrate ydot = field(*y, u) over [0, duration], tracking the
+    maximum of V = ``v``(x1, ..., xn) along the way.
 
     Steps land exactly on every requested sample time and on the segment
     end. Returns (samples, y_end, v_max) where samples are (t, y) pairs at
     the requested times including both endpoints, every y an ``np.ndarray``.
     ``on_step(t, y)`` is invoked at the start and at every accepted step,
-    with y a tuple of floats. Given ``v``, v_max is the largest of the
+    with y a tuple of floats. The returned v_max is the largest of the
     ``v_max`` passed in and V(*y) on the continuous extension inside every
     accepted step (see the module docstring) and at its end, NaN values
     skipped: states never more than duration/16 apart in time. Once v_max
@@ -252,23 +254,21 @@ def integrate_segment(
         if err_norm != err_norm or not all(map(math.isfinite, y_new)):
             raise IntegrationError(f"non-finite state or error estimate near t = {t}")
         if err_norm <= h:
-            if v is not None:
-                rows = _DENSE_WEIGHTS[math.ceil(_DENSE_GRID * h / duration)]
-                if rows:
-                    v_max = dense_vmax(v, y, h, ks, rows, v_max)
-                    if v_max > v_limit:
-                        return samples, np.array(y), v_max
+            rows = _DENSE_WEIGHTS[math.ceil(_DENSE_GRID * h / duration)]
+            if rows:
+                v_max = dense_vmax(v, y, h, ks, rows, v_max)
+                if v_max > v_limit:
+                    return samples, np.array(y), v_max
             t += h
             y = y_new
             k1 = ks[-1]
             if on_step is not None:
                 on_step(t, y)
-            if v is not None:
-                v_end = v(*y)
-                if v_end > v_max:
-                    v_max = v_end
-                    if v_max > v_limit:
-                        return samples, np.array(y), v_max
+            v_end = v(*y)
+            if v_end > v_max:
+                v_max = v_end
+                if v_max > v_limit:
+                    return samples, np.array(y), v_max
             if max(map(abs, y)) > _DIVERGENCE_BOUND:
                 raise IntegrationError(
                     f"state norm exceeded divergence bound {_DIVERGENCE_BOUND} at t = {t}")

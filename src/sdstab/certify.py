@@ -41,7 +41,7 @@ from .lie import (
     LieWord, ScalarField, VectorField, WORD_F, WORD_G, bracket_word,
     directional_derivative, enumerate_monomial_products, lie_bracket,
 )
-from .symcalc import DomainError, compile_affine, compile_scalar, evaluate
+from .symcalc import DomainError, compile_affine, compile_expr, evaluate
 
 __all__ = [
     "Case", "Certificate", "SystemDef", "GridEntry",
@@ -73,7 +73,8 @@ class SystemDef:
     """A control-affine system xdot = f(x) + u g(x) with candidate V.
 
     V is expected to vanish at the origin and be positive away from it;
-    both are spot-checked by evaluation at construction (not proven).
+    both are spot-checked by evaluation at construction (not proven). V is
+    compiled once, at construction; ``v_at(x)`` evaluates it at a state.
     """
 
     f: VectorField
@@ -90,13 +91,19 @@ class SystemDef:
         if not (self.f.dim == self.g.dim == self.V.dim):
             raise ValueError(
                 f"dimension mismatch: f={self.f.dim} g={self.g.dim} V={self.V.dim}")
-        self.v_at = self.V.compiled()
-        origin = np.zeros(self.dim)
-        v0 = self.v_at(origin)
+        v = self._v = compile_expr(self.V.body, self.dim)
+        # an ndarray unpacks several times slower than its tolist(), whose
+        # Python floats are also what the kernel hands V
+        self.v_at = lambda x: v(*(x.tolist() if isinstance(x, np.ndarray) else x))
+        points = [np.zeros(self.dim), *self._spot_points()]
+        try:
+            v0, *spot_values = map(self.v_at, points)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"V cannot be evaluated at a sampled point: {exc}") from None
         if abs(v0) > 1e-12:
             raise ValueError(f"V(0) = {v0}, expected 0")
-        for p in self._spot_points():
-            if self.v_at(p) <= 0.0:
+        for p, value in zip(points[1:], spot_values):
+            if value <= 0.0:
                 raise ValueError(f"V is not positive at sampled point {tuple(p.tolist())}")
 
     def _spot_points(self):
@@ -118,10 +125,10 @@ class SystemDef:
     @cached_property
     def kernel_fns(self):
         """(F, V) on scalar arguments, for the RK kernel: F(x1, ..., xn, u)
-        returns the tuple of f_i + u g_i (see symcalc.compile_affine) and
-        V(x1, ..., xn) the value of V. Compiled on first use."""
-        return (compile_affine(self.f.components, self.g.components),
-                compile_scalar(self.V.body, self.dim))
+        returns the tuple of f_i + u g_i (see symcalc.compile_affine),
+        compiled on first use, and V(x1, ..., xn) is the function behind
+        v_at, compiled with the system."""
+        return compile_affine(self.f.components, self.g.components), self._v
 
     def rhs(self, u: float):
         """x -> f(x) + u*g(x) as a list of floats, through kernel_fns' F."""

@@ -74,6 +74,8 @@ class Partition:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.lead_times, self.step))):
+            raise ValueError("partition times and step must be finite")
         if not self.lead_times or self.lead_times[0] != 0.0:
             raise ValueError("partition must start at time 0")
         for a, b in zip(self.lead_times, self.lead_times[1:]):

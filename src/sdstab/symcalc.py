@@ -22,6 +22,10 @@ object, shared by every tree that contains it, and it keeps its simplified
 form and partial derivatives once computed (see Expr). Parsing,
 differentiation and simplification are pure functions; the intern table
 and the memos assume that one thread at a time builds trees.
+
+A tree is evaluated by evaluate(), or compiled once by compile_expr() to a
+Python function of the coordinates x1..xn as separate float arguments;
+compile_affine() compiles the field f + u g through it, u an argument.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ __all__ = [
     "Add", "Sub", "Mul", "Div", "Pow",
     "ExprError", "ParseError", "DomainError",
     "parse", "differentiate", "simplify", "evaluate",
-    "compile_expr", "compile_scalar", "compile_affine", "max_var_index", "to_text",
+    "compile_expr", "compile_affine", "max_var_index", "to_text",
 ]
 
 
@@ -296,8 +300,11 @@ _PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Neg: 0}
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, Const) and e.value < 0:
-        return 0  # renders with a leading minus, parenthesize like Neg
+    if isinstance(e, Const):
+        if e.value < 0:
+            return 0  # renders with a leading minus, parenthesize like Neg
+        if isinstance(e.value, Fraction) and e.value.denominator != 1:
+            return 2  # renders as p/q, parenthesize like Div
     return _PRECEDENCE.get(type(e), 4)
 
 
@@ -351,8 +358,8 @@ def evaluate(e: Expr, point: Sequence[float], memo: dict | None = None) -> float
     ``memo`` maps nodes to their values at this point. Certification
     passes one memo to every witness it evaluates at a point, so a subtree
     shared by many bracket monomials is evaluated once there. The float
-    operations are those of compile_expr() on the same tree, in the same
-    order.
+    operations are those of compile_expr(e, len(point))(*point), in the
+    same order.
 
     Raises DomainError for division by zero, ln of a nonpositive value,
     a power or exp that overflows or a constant beyond float range,
@@ -587,89 +594,73 @@ _NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math
               "inf": math.inf, "nan": math.nan}
 
 
-def _pycode(e: Expr, var: str = "_x[{}]") -> str:
-    """Python source of e, with x_i written as var.format(i - 1)."""
+def _pycode(e: Expr) -> str:
+    """Python source of e, with x_i written as _x{i-1}."""
     if isinstance(e, Const):
         # parenthesized when negative: -1.0**2 would read as -(1.0**2)
         text = repr(float(e.value))
         return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
-        return var.format(e.index - 1)
+        return f"_x{e.index - 1}"
     if isinstance(e, Neg):
-        return f"(-{_pycode(e.arg, var)})"
+        return f"(-{_pycode(e.arg)})"
     if isinstance(e, Sin):
-        return f"_sin({_pycode(e.arg, var)})"
+        return f"_sin({_pycode(e.arg)})"
     if isinstance(e, Cos):
-        return f"_cos({_pycode(e.arg, var)})"
+        return f"_cos({_pycode(e.arg)})"
     if isinstance(e, Exp):
-        return f"_exp({_pycode(e.arg, var)})"
+        return f"_exp({_pycode(e.arg)})"
     if isinstance(e, Ln):
-        return f"_log({_pycode(e.arg, var)})"
+        return f"_log({_pycode(e.arg)})"
     if isinstance(e, Add):
-        return f"({_pycode(e.left, var)}+{_pycode(e.right, var)})"
+        return f"({_pycode(e.left)}+{_pycode(e.right)})"
     if isinstance(e, Sub):
-        return f"({_pycode(e.left, var)}-{_pycode(e.right, var)})"
+        return f"({_pycode(e.left)}-{_pycode(e.right)})"
     if isinstance(e, Mul):
-        return f"({_pycode(e.left, var)}*{_pycode(e.right, var)})"
+        return f"({_pycode(e.left)}*{_pycode(e.right)})"
     if isinstance(e, Div):
-        return f"({_pycode(e.left, var)}/{_pycode(e.right, var)})"
+        return f"({_pycode(e.left)}/{_pycode(e.right)})"
     if isinstance(e, Pow):
-        return f"({_pycode(e.base, var)}**{e.exponent})"
+        return f"({_pycode(e.base)}**{e.exponent})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(
-        e: Expr | Sequence[Expr]) -> Callable[[Sequence[float]], float | list[float]]:
-    """Compile a tree to a fast float function of the state vector, or a
-    sequence of trees to one function returning the list of their values.
+def compile_expr(e: Expr | Sequence[Expr], dim: int) -> Callable[..., float | tuple]:
+    """Compile a tree over x1..x_dim to a fast float function of the
+    coordinates as separate arguments, fn(x1, ..., x_dim), or a sequence of
+    trees to one such function returning the tuple of their values.
 
     For V and fields, small trees evaluated at many states; certification
     evaluates its many larger trees once per point with evaluate() instead,
     which costs less than compiling them.
     Same float semantics as evaluate() on the same tree shape, but on
     Python floats domain violations surface as ZeroDivisionError,
-    ValueError or OverflowError from the runtime. A list is one list display
-    evaluated left to right, so it raises what the first failing tree
-    would raise on its own.
+    ValueError or OverflowError from the runtime. A tuple is one tuple
+    display evaluated left to right, so it raises what the first failing
+    tree would raise on its own.
     """
     if isinstance(e, Expr):
         body = _pycode(e)
     else:
-        body = "[" + ", ".join(_pycode(c) for c in e) + "]"
-    # one globals dict for every compiled tree: the functions only read it
-    return eval(f"lambda _x: {body}", _NAMESPACE)
-
-
-def _scalar_lambda(body: str, dim: int, extra: str = ""):
-    """A function of x1..xn as the positional arguments _x0.._x{n-1}, then
-    ``extra``, returning ``body``."""
+        # a comma after every tree, so that one tree makes a 1-tuple
+        body = "(" + "".join(_pycode(c) + ", " for c in e) + ")"
     params = ", ".join(f"_x{i}" for i in range(dim))
-    return eval(f"lambda {params}{extra}: {body}", _NAMESPACE)
-
-
-def compile_scalar(e: Expr, dim: int) -> Callable[..., float]:
-    """Compile a tree of x1..x_dim to a function of the coordinates as
-    separate float arguments, with compile_expr's float operations."""
-    return _scalar_lambda(_pycode(e, "_x{}"), dim)
+    # one globals dict for every compiled tree: the functions only read it
+    return eval(f"lambda {params}: {body}", _NAMESPACE)
 
 
 def compile_affine(f: Sequence[Expr], g: Sequence[Expr]) -> Callable[..., tuple]:
     """Compile xdot = f(x) + u g(x) to F(x1, ..., xn, u) -> the tuple of
-    components, u an argument. Component i is simplify(f_i) + u *
-    simplify(g_i), with a term whose tree is the constant 0 dropped and a g
-    factor that is the constant 1 written as a bare u. For u != 0 that is
-    the code of simplify(f_i + u g_i), the tree a fixed u gives; at u = 0 a
-    kept g term still runs, so the sign of a zero component can differ from
-    that tree's, and a non-finite value or domain error of g_i shows."""
-    terms = []
-    for fi, gi in zip(f, g):
-        fi, gi = simplify(fi), simplify(gi)
-        if _is_const(gi, 0):
-            terms.append(_pycode(fi, "_x{}"))
-            continue
-        u_term = "u" if _is_const(gi, 1) else f"(u*{_pycode(gi, '_x{}')})"
-        terms.append(u_term if _is_const(fi, 0) else f"({_pycode(fi, '_x{}')}+{u_term})")
-    return _scalar_lambda("(" + "".join(t + ", " for t in terms) + ")", len(terms), ", u")
+    components: compile_expr over the trees simplify(f_i) + u simplify(g_i),
+    u being x_{n+1}. The simplifier's folds drop a g term that is the
+    constant 0 and write a g factor that is the constant 1 as a bare u. For
+    u != 0 that is the code of simplify(f_i + u g_i), the tree a fixed u
+    gives; at u = 0 a kept g term still runs, so the sign of a zero
+    component can differ from that tree's, and a non-finite value or domain
+    error of g_i shows."""
+    u = Var(len(f) + 1)
+    return compile_expr([_add(simplify(fi), _mul(u, simplify(gi))) for fi, gi in zip(f, g)],
+                        u.index)
 
 
 # --- parsing --------------------------------------------------------------

@@ -349,8 +349,8 @@ def synthesize_step(
     for rho, u1, program in _candidates(cert, xi):
         simulations += 1
         try:
-            # a sample above 2 v0 fails the test v_max <= 2 v0 below, so
-            # stopping at it changes no outcome
+            # a candidate whose V passes 2 v0 is abandoned there: v_max of
+            # a finished simulation is at most 2 v0
             samples, v_max = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
         except (IntegrationError, _BoundExceeded):
             continue
@@ -358,7 +358,7 @@ def synthesize_step(
         drop = v0 - sys.v_at(end)
         if best is None or drop > best:
             best = drop
-        if drop > drop_floor and v_max <= 2.0 * v0:
+        if drop > drop_floor:
             return StepResult(program, cert, rho, u1, drop, v_max / v0,
                               tuple(float(v) for v in end))
     raise SynthesisFailed(

@@ -4,17 +4,18 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import DEEP_LINEAR_TEXT, SYSTEMS_DIR
-from sdstab import certify, lie
+from sdstab import certify, lie, symcalc
 from sdstab.certify import (
     Case, N_MAX_LIMIT, SystemDef, _monomial_scalar, _word_field, certify_grid,
     certify_point, monomial_value,
 )
-from sdstab.cli import parse_system_file
+from sdstab.cli import load_system, parse_system_file
 from sdstab.lie import (
     LieWord, ScalarField, VectorField, directional_derivative, iterated_adjoint,
     lie_words,
 )
-from sdstab.symcalc import evaluate
+from sdstab.symcalc import compile_expr, evaluate
+from sdstab.synth import ControlProgram, flow_endpoint
 
 
 HAND_CASES = [
@@ -236,6 +237,17 @@ def test_system_rejects_nonvanishing_v():
         )
 
 
+def test_system_rejects_v_that_fails_at_a_sampled_point():
+    # V is evaluated on Python floats, so the pole at (1, 0) raises instead
+    # of giving inf; construction reports it as invalid input
+    with pytest.raises(ValueError, match="V cannot be evaluated at a sampled point"):
+        SystemDef(
+            VectorField.from_strings(["x2", "0"], 2),
+            VectorField.from_strings(["0", "1"], 2),
+            ScalarField.from_string("x1^2/(1-x1)+x2^2", 2),
+        )
+
+
 def test_system_rejects_nonpositive_v():
     with pytest.raises(ValueError, match="positive"):
         SystemDef(
@@ -280,9 +292,28 @@ def test_shared_suffixes_match_uncached_chains(name, batch):
         for w in reversed(words):
             scalar = directional_derivative(_word_field(fresh, w), scalar)
         assert _monomial_scalar(cached, words) == scalar
-        assert monomial_value(cached, words, x) == float(scalar.compiled()(x))
+        assert monomial_value(cached, words, x) == float(
+            compile_expr(scalar.body, scalar.dim)(*x))
         for w in words:
             assert _word_field(cached, w) == _word_field(fresh, w)
+
+
+def test_a_loaded_system_compiles_v_and_f_once(monkeypatch):
+    """Loading a system compiles V; its first run through the RK kernel
+    compiles F and reuses V, so v_at and the kernel share one function."""
+    sources = []
+
+    def counting_eval(source, namespace):
+        sources.append(source)
+        return eval(source, namespace)
+
+    monkeypatch.setattr(symcalc, "eval", counting_eval, raising=False)
+    sysd = load_system(SYSTEMS_DIR / "dblint.sys")
+    assert len(sources) == 1
+    flow_endpoint(sysd, [1.0, 0.0], ControlProgram(((1.0, 0.1),)))
+    flow_endpoint(sysd, [0.0, 1.0], ControlProgram(((-1.0, 0.1),)))
+    assert len(sources) == 2
+    assert sysd.kernel_fns[1](0.3, -0.4) == sysd.v_at([0.3, -0.4])
 
 
 def test_certification_builds_each_derivative_once(monkeypatch):

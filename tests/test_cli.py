@@ -201,6 +201,10 @@ def _run_module(argv, systems_dir, out):
     ["step", "--at", "1,0", "--tol", "nan"],
     ["cbh-check", "--at", "1,0", "--t", "inf"],
     ["cbh-check", "--at", "1,0", "--t", "0.01,nan"],
+    ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "uniform:inf"],
+    ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "explicit:0,inf"],
+    ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "explicit:0,0.5+inf"],
+    ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "explicit:0,nan,1"],
 ])
 def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
     done = _run_module(argv, systems_dir, tmp_path)
@@ -210,6 +214,8 @@ def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
     if "--t" in argv:
         # the message names the option and its value
         assert done.stderr.startswith(f"error: --t {argv[-1]!r} "), done.stderr
+    if argv[-2] == "--partition":
+        assert "must be finite" in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("argv", [

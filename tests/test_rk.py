@@ -32,6 +32,11 @@ def fixed_steps(field, u, y0, duration, steps):
     return np.array(y)
 
 
+def _zero_v(*y):
+    """V = 0 everywhere, for runs that check no V."""
+    return 0.0
+
+
 def _field(*components):
     """F(x1, ..., xn, u) of the drift given by the component strings."""
     f = VectorField.from_strings(components, len(components))
@@ -174,45 +179,49 @@ def test_nan_at_any_stage_ends_in_integration_error(stage):
     accepted = []
     with pytest.raises(IntegrationError, match="non-finite"):
         integrate_segment(_nan_on_call(stage), 0.0, [0.0, 0.0], 1.0, 1e-10,
-                          on_step=lambda t, y: accepted.append(t))
+                          _zero_v, -math.inf, on_step=lambda t, y: accepted.append(t))
     assert accepted == [0.0]
 
 
 def test_rhs_domain_errors_become_integration_errors():
     with pytest.raises(IntegrationError, match="at start"):
-        integrate_segment(_field("1/x1"), 0.0, [0.0], 1.0, 1e-10)
+        integrate_segment(_field("1/x1"), 0.0, [0.0], 1.0, 1e-10, _zero_v, -math.inf)
     with pytest.raises(IntegrationError):
-        integrate_segment(_field("x1^9"), 0.0, [1e40], 1.0, 1e-10)
+        integrate_segment(_field("x1^9"), 0.0, [1e40], 1.0, 1e-10, _zero_v, -math.inf)
 
 
 def test_tolerance_must_be_positive():
     for tol in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
-            integrate_segment(_field("-x1"), 0.0, [1.0], 1.0, tol)
+            integrate_segment(_field("-x1"), 0.0, [1.0], 1.0, tol, _zero_v, -math.inf)
 
 
 def test_duration_must_be_non_negative_and_finite():
     for duration in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="segment duration"):
-            integrate_segment(_field("-x1"), 0.0, [1.0], duration, 1e-10)
+            integrate_segment(_field("-x1"), 0.0, [1.0], duration, 1e-10,
+                              _zero_v, -math.inf)
 
 
 def test_boundary_types_are_arrays(dblint):
     field = dblint.kernel_fns[0]
     seen = []
     samples, y_end, v_max = integrate_segment(
-        field, 1.0, np.array([1.0, 0.0]), 0.5, 1e-10, sample_times=[0.25],
-        on_step=lambda t, y: seen.append(y))
+        field, 1.0, np.array([1.0, 0.0]), 0.5, 1e-10, _zero_v, -math.inf,
+        sample_times=[0.25], on_step=lambda t, y: seen.append(y))
     assert isinstance(y_end, np.ndarray) and y_end.shape == (2,)
     assert [t for t, _ in samples] == [0.0, 0.25, 0.5]
     assert all(isinstance(y, np.ndarray) and y.shape == (2,) for _, y in samples)
     assert _bits(samples[-1][1]) == _bits(y_end)
     assert all(isinstance(y, tuple) for y in seen)
-    # no V given: v_max is the value passed in
-    assert v_max == -math.inf
+    # V = 0 at every state, above the v_max passed in
+    assert v_max == 0.0
     # ydot = (x2, 1) from (1, 0): x(t) = (1 + t^2/2, t)
     np.testing.assert_allclose(y_end, [1.125, 0.5], rtol=1e-12)
-    samples, y_end, _ = integrate_segment(field, 1.0, [1.0, 0.0], 0.0, 1e-10)
+    samples, y_end, v_max = integrate_segment(
+        field, 1.0, [1.0, 0.0], 0.0, 1e-10, _zero_v, -math.inf)
+    # no step, no V: the v_max passed in
+    assert v_max == -math.inf
     assert isinstance(y_end, np.ndarray)
     assert all(isinstance(y, np.ndarray) for _, y in samples)
     end = fixed_steps(field, 1.0, [1.0, 0.0], 0.5, 8)
@@ -240,8 +249,8 @@ def test_dense_states_follow_the_exact_solution():
         return x1
 
     _, y_end, v_max = integrate_segment(
-        _field("-x1"), 0.0, [1.0], duration, 1e-10,
-        on_step=lambda t, y: events.append((t, y[0])), v=v)
+        _field("-x1"), 0.0, [1.0], duration, 1e-10, v, -math.inf,
+        on_step=lambda t, y: events.append((t, y[0])))
     # each accepted step evaluates V at its extension's states, then calls
     # on_step, then evaluates V at its end state
     assert events[0] == (0.0, 1.0)
@@ -275,25 +284,28 @@ def test_dense_states_follow_the_exact_solution():
     assert v_max == sampled_v[0] == max(sampled_v)
 
 
-def test_dense_output_evaluates_no_rhs(dblint):
+def test_dense_output_evaluates_no_rhs(dblint, monkeypatch):
+    # every field call is k1 at the start or one of a step attempt's six
     field, v = dblint.kernel_fns
-    counted = [0]
+    counted, attempts = [0], [0]
 
     def counting(*args):
         counted[0] += 1
         return field(*args)
 
-    integrate_segment(counting, 1.0, [1.0, 0.0], 0.5, 1e-10)
-    without = counted[0]
-    counted[0] = 0
+    def counting_stages(*args, stages=_rk._stages):
+        attempts[0] += 1
+        return stages(*args)
+
+    monkeypatch.setattr(_rk, "_stages", counting_stages)
     dense = []
 
     def recording(*x):
         dense.append(x)
         return v(*x)
 
-    integrate_segment(counting, 1.0, [1.0, 0.0], 0.5, 1e-10, v=recording)
-    assert counted[0] == without
+    integrate_segment(counting, 1.0, [1.0, 0.0], 0.5, 1e-10, recording, -math.inf)
+    assert counted[0] == 1 + 6 * attempts[0]
     assert dense
 
 
@@ -302,12 +314,12 @@ def test_v_limit_stops_after_the_step_that_passes_it(peak_inside_step):
     # the first accepted step (see the fixture)
     field, v = peak_inside_step.kernel_fns
     steps = []
-    full = integrate_segment(field, -1.0, [0.0, 1.0], 2.0, 1e-10, v=v, v_max=0.01,
+    full = integrate_segment(field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01,
                              on_step=lambda t, y: steps.append(t))
     assert 0.249 <= full[2] <= 0.25 and steps[-1] == 2.0
     cut_steps = []
     samples, y, v_max = integrate_segment(
-        field, -1.0, [0.0, 1.0], 2.0, 1e-10, v=v, v_max=0.01, v_limit=0.1,
+        field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01, v_limit=0.1,
         on_step=lambda t, y: cut_steps.append(t))
     assert v_max > 0.1
     assert [t for t, _ in samples] == [0.0]

@@ -66,6 +66,12 @@ def test_partition_validation():
         Partition.explicit([0.0, 0.5, 0.4])
     with pytest.raises(ValueError):
         list(Partition.uniform(0.5).times_until(0.0))
+    for bad in (Partition.uniform, lambda t: Partition.explicit([0.0, t]),
+                lambda t: Partition.explicit([0.0, 0.5], t),
+                lambda t: Partition.explicit([0.0, t, 1.0])):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                bad(value)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])

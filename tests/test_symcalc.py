@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from conftest import DEEP_LINEAR_TEXT
@@ -108,25 +108,25 @@ def test_evaluate_ln_nonpositive():
 
 def test_compile_matches_evaluate():
     e = parse("sin(x1)*exp(x2)-x1^3/(2+x2^2)", 2)
-    fn = compile_expr(e)
+    fn = compile_expr(e, 2)
     for p in [(0.3, -1.2), (1.0, 0.5), (-2.0, 2.0)]:
-        assert fn(p) == pytest.approx(evaluate(e, p), rel=1e-15)
+        assert fn(*p) == pytest.approx(evaluate(e, p), rel=1e-15)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
 def test_compile_matches_evaluate_on_non_finite_constants(value):
     for e in (Const(value), Mul(Const(value), Var(1)), Sub(Var(1), Const(value))):
-        assert compile_expr(e)((2.0,)) == evaluate(e, (2.0,))
+        assert compile_expr(e, 1)(2.0) == evaluate(e, (2.0,))
     nan_sum = Add(Var(1), Const(math.nan))
-    assert math.isnan(compile_expr(nan_sum)((2.0,)))
+    assert math.isnan(compile_expr(nan_sum, 1)(2.0))
     assert math.isnan(evaluate(nan_sum, (2.0,)))
 
 
 def test_compile_raises_a_negative_constant_to_a_power():
     for value in (Fraction(-1), -0.5, -0.0):
         e = Pow(Const(value), 2)
-        assert compile_expr(e)(()) == float(value) ** 2 == evaluate(e, ())
-    assert math.copysign(1.0, compile_expr(Pow(Const(-0.0), 3))(())) == -1.0
+        assert compile_expr(e, 0)() == float(value) ** 2 == evaluate(e, ())
+    assert math.copysign(1.0, compile_expr(Pow(Const(-0.0), 3), 0)()) == -1.0
 
 
 # --- simplification ---------------------------------------------------------------
@@ -232,14 +232,56 @@ def test_derivative_linearity(e1, e2, a, data):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@given(e=_exprs(2))
-@settings(max_examples=60, deadline=None)
+def _rational_exprs(dim: int):
+    """_exprs with non-integer rational constants and quotients, whose
+    simplified forms hold constants such as 1/3 under products, quotients
+    and powers."""
+    atoms = st.one_of(
+        st.integers(-3, 3).map(lambda v: Const(Fraction(v))),
+        st.sampled_from([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]).map(Const),
+        st.integers(1, dim).map(Var),
+    )
+
+    def nonzero(e):
+        return not (isinstance(e, Const) and e.value == 0)
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda ab: Add(*ab)),
+            st.tuples(children, children).map(lambda ab: Sub(*ab)),
+            st.tuples(children, children).map(lambda ab: Mul(*ab)),
+            st.tuples(children, children.filter(nonzero)).map(lambda ab: Div(*ab)),
+            children.map(Neg),
+            children.map(Sin),
+            st.tuples(children, st.integers(2, 3)).map(lambda an: Pow(*an)),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=10)
+
+
+@given(e=_exprs(2) | _rational_exprs(2))
+@example(e=Div(Var(1), Div(Const(Fraction(1)), Const(Fraction(3)))))
+@example(e=Pow(Div(Const(Fraction(1)), Const(Fraction(3))), 2))
+@settings(max_examples=120, deadline=None)
 def test_round_trip_through_text(e):
-    text = to_text(e)
-    reparsed = parse(text, 2)
+    """Text of a tree and of its simplified form parses back to the same
+    value, or to the same domain error."""
+    try:
+        trees = (e, simplify(e))
+    except ExprError:
+        # a denominator that simplifies to the literal 0
+        trees = (e,)
     point = (0.37, -1.21)
-    assert evaluate(reparsed, point) == pytest.approx(
-        evaluate(e, point), rel=1e-12, abs=1e-12)
+    for tree in trees:
+        reparsed = parse(to_text(tree), 2)
+        try:
+            value = evaluate(tree, point)
+        except DomainError:
+            with pytest.raises(DomainError):
+                evaluate(reparsed, point)
+            continue
+        assume(math.isfinite(value))
+        assert evaluate(reparsed, point) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 def test_expressions_hashable_and_equal():
@@ -316,7 +358,7 @@ def test_affine_field_matches_the_tree_of_each_input(data, u):
     if u != 0:
         assert _all_bits(got) == _all_bits(tree)
     else:
-        assert list(got) == tree
+        assert got == tree
         assert all(a == 0 or _bits(a) == _bits(b) for a, b in zip(got, tree))
 
 
@@ -452,7 +494,7 @@ def test_shared_memo_evaluates_like_compiled_code(trees, point):
     for e in trees:
         for tree in [*_every_kind(e), differentiate(e, 1), differentiate(e, 2)]:
             try:
-                expected = compile_expr(tree)(point)
+                expected = compile_expr(tree, 2)(*point)
             except (ArithmeticError, ValueError):
                 with pytest.raises(DomainError):
                     evaluate(tree, point, memo)
@@ -475,9 +517,9 @@ def test_compiled_field_is_its_compiled_components(trees, kinds, point):
     """The field's one compiled call gives what compiling each component
     alone gives, bit for bit, or raises the same exception type."""
     comps = tuple(_every_kind(e)[k] for e, k in zip(trees, kinds))
-    alone = [compile_expr(c) for c in comps]
+    alone = [compile_expr(c, 2) for c in comps]
     assert (_values_or_error(VectorField(comps, 2).compiled(), point)
-            == _values_or_error(lambda x: [fn(x) for fn in alone], point))
+            == _values_or_error(lambda x: [fn(*x) for fn in alone], point))
 
 
 @pytest.mark.parametrize("texts,point,expected", [
@@ -488,15 +530,15 @@ def test_compiled_field_is_its_compiled_components(trees, kinds, point):
 def test_compiled_field_keeps_signed_zeros_and_exception_types(texts, point, expected):
     field = VectorField.from_strings(texts, 2)
     fused = field.compiled()
-    alone = [compile_expr(c) for c in field.components]
+    alone = [compile_expr(c, 2) for c in field.components]
     if isinstance(expected, list):
         assert [_bits(v) for v in fused(point)] == [_bits(v) for v in expected]
-        assert [_bits(fn(point)) for fn in alone] == [_bits(v) for v in expected]
+        assert [_bits(fn(*point)) for fn in alone] == [_bits(v) for v in expected]
     else:
         with pytest.raises(expected):
             fused(point)
         with pytest.raises(expected):
-            [fn(point) for fn in alone]
+            [fn(*point) for fn in alone]
 
 
 @given(e=_exprs(3))
