@@ -171,23 +171,34 @@ def test_derivative_quotient_and_ln():
 
 # --- random expression properties ----------------------------------------------------
 
-def _exprs(dim: int, max_leaves: int = 12):
-    atoms = st.one_of(
-        st.integers(-3, 3).map(lambda v: Const(Fraction(v))),
-        st.integers(1, dim).map(Var),
-    )
+def _exprs(dim: int, max_leaves: int = 12, rationals: bool = False):
+    """Random trees over x1..x_dim with small integer constants; with
+    ``rationals``, also non-integer rational constants and quotients, whose
+    simplified forms hold constants such as 1/3 under products, quotients
+    and powers."""
+    atoms = [st.integers(-3, 3).map(lambda v: Const(Fraction(v))),
+             st.integers(1, dim).map(Var)]
+    if rationals:
+        atoms.append(st.sampled_from([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)])
+                     .map(Const))
+
+    def nonzero(e):
+        return not (isinstance(e, Const) and e.value == 0)
 
     def extend(children):
-        return st.one_of(
+        ops = [
             st.tuples(children, children).map(lambda ab: Add(*ab)),
             st.tuples(children, children).map(lambda ab: Sub(*ab)),
             st.tuples(children, children).map(lambda ab: Mul(*ab)),
             children.map(Neg),
             children.map(Sin),
             st.tuples(children, st.integers(2, 3)).map(lambda an: Pow(*an)),
-        )
+        ]
+        if rationals:
+            ops.append(st.tuples(children, children.filter(nonzero)).map(lambda ab: Div(*ab)))
+        return st.one_of(*ops)
 
-    return st.recursive(atoms, extend, max_leaves=max_leaves)
+    return st.recursive(st.one_of(*atoms), extend, max_leaves=max_leaves)
 
 
 @given(e=_exprs(2), data=st.data())
@@ -232,34 +243,7 @@ def test_derivative_linearity(e1, e2, a, data):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def _rational_exprs(dim: int):
-    """_exprs with non-integer rational constants and quotients, whose
-    simplified forms hold constants such as 1/3 under products, quotients
-    and powers."""
-    atoms = st.one_of(
-        st.integers(-3, 3).map(lambda v: Const(Fraction(v))),
-        st.sampled_from([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]).map(Const),
-        st.integers(1, dim).map(Var),
-    )
-
-    def nonzero(e):
-        return not (isinstance(e, Const) and e.value == 0)
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(children, children).map(lambda ab: Add(*ab)),
-            st.tuples(children, children).map(lambda ab: Sub(*ab)),
-            st.tuples(children, children).map(lambda ab: Mul(*ab)),
-            st.tuples(children, children.filter(nonzero)).map(lambda ab: Div(*ab)),
-            children.map(Neg),
-            children.map(Sin),
-            st.tuples(children, st.integers(2, 3)).map(lambda an: Pow(*an)),
-        )
-
-    return st.recursive(atoms, extend, max_leaves=10)
-
-
-@given(e=_exprs(2) | _rational_exprs(2))
+@given(e=_exprs(2) | _exprs(2, max_leaves=10, rationals=True))
 @example(e=Div(Var(1), Div(Const(Fraction(1)), Const(Fraction(3)))))
 @example(e=Pow(Div(Const(Fraction(1)), Const(Fraction(3))), 2))
 @settings(max_examples=120, deadline=None)
