@@ -31,8 +31,7 @@ def main():
         entries = certify_grid(sysd, box, res)
         counts = Counter(
             "skipped" if e.skipped else e.certificate.case.value for e in entries)
-        rows = [(e.point, e.certificate, e.skipped) for e in entries]
-        write_certificate_csv(out_dir / f"{name}_certificates.csv", rows, sysd.dim)
+        write_certificate_csv(out_dir / f"{name}_certificates.csv", entries, sysd.dim)
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
         print(f"{name:>13} ({len(entries)} points): {summary}")
 

@@ -19,19 +19,22 @@ The right-hand side is a field F(x1, ..., xn, u) -> (ydot_1, ..., ydot_n)
 on scalar arguments, with the constant input u as its last argument. The
 step and the V maximum over the continuous extension are generated once per
 dimension n as straight-line code on Python floats (numpy's per-call
-overhead would dwarf the arithmetic on a few components); states are tuples
-of floats inside the kernel and ndarrays at its boundary. Each scalar
+overhead would dwarf the arithmetic on a few components). Each scalar
 operation matches its elementwise numpy counterpart in order (no fused
 multiply-add), so the step is bit-identical to the same step written on
 numpy arrays.
+
+States are tuples of floats, and stay tuples up to the closed loop's
+``Trajectory``: each sample is a (t, y, V(y)) triple carrying the V computed
+at the end of the step that reached y, so no caller evaluates V there again.
+Segments have positive durations. A domain error of F or V (a division by
+zero, an overflowing exp) becomes an IntegrationError.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-import numpy as np
 
 __all__ = ["IntegrationError", "integrate_segment"]
 
@@ -179,6 +182,16 @@ def _stages(field: Field, u: float, y: Sequence[float], h: float, k1: Sequence[f
     return _KERNELS[len(y)][0](field, u, y, h, k1, atol, rtol)
 
 
+def _check_positive(what: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+# what a compiled F or V raises outside its domain (a division by zero, the
+# log of a negative, an overflowing exp)
+_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+
 def integrate_segment(
         field: Field,
         u: float,
@@ -187,38 +200,38 @@ def integrate_segment(
         tol: float,
         v: Scalar,
         v_max: float,
-        sample_times: Sequence[float] | None = None,
+        sample_dt: float | None = None,
         on_step: Callable[[float, tuple[float, ...]], None] | None = None,
         v_limit: float = math.inf,
-) -> tuple[list[tuple[float, np.ndarray]], np.ndarray, float]:
-    """Integrate ydot = field(*y, u) over [0, duration], tracking the
-    maximum of V = ``v``(x1, ..., xn) along the way.
+) -> tuple[list[tuple[float, tuple[float, ...], float]], float]:
+    """Integrate ydot = field(*y, u) over [0, duration], duration positive,
+    tracking the maximum of V = ``v``(x1, ..., xn) along the way.
 
-    Steps land exactly on every requested sample time and on the segment
-    end. Returns (samples, y_end, v_max) where samples are (t, y) pairs at
-    the requested times including both endpoints, every y an ``np.ndarray``.
-    ``on_step(t, y)`` is invoked at the start and at every accepted step,
-    with y a tuple of floats. The returned v_max is the largest of the
+    Steps land exactly on every multiple of ``sample_dt`` inside the segment
+    (none by default) and on its end. Returns (samples, v_max): samples are
+    the (t, y, V(y)) triples at those times, the start excluded, y the
+    kernel's tuple of floats and V(y) the value computed at the end of the
+    step that reached y (a time reached within roundoff, with no new step,
+    evaluates V once there). ``on_step(t, y)`` is invoked at the start and
+    at every accepted step. The returned v_max is the largest of the
     ``v_max`` passed in and V(*y) on the continuous extension inside every
     accepted step (see the module docstring) and at its end, NaN values
     skipped: states never more than duration/16 apart in time. Once v_max
-    exceeds ``v_limit`` the integration stops, returning the samples so
-    far, at the end of the accepted step that passed it: before that step's
+    exceeds ``v_limit`` the integration stops, returning the samples so far,
+    at the end of the accepted step that passed it: before that step's
     ``on_step`` when one of its extension states did, after it when its end
     state did. Raises IntegrationError once a component exceeds 1e6 in
-    magnitude.
+    magnitude, and in place of a ZeroDivisionError, ValueError or
+    OverflowError raised by F or V.
     """
-    if not 0 <= duration < math.inf:
-        raise ValueError(f"segment duration must be >= 0 and finite, got {duration}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    y = tuple(np.asarray(y0, dtype=float).tolist())
-    if duration == 0.0:
-        return [(0.0, np.array(y)), (0.0, np.array(y))], np.array(y), v_max
-
-    targets = sorted({float(s) for s in (sample_times or []) if 0.0 < s < duration})
-    targets.append(duration)
-    samples = [(0.0, np.array(y))]
+    _check_positive("segment duration", duration)
+    _check_positive("tolerance", tol)
+    y = tuple(map(float, y0))
+    grid = []
+    if sample_dt is not None and 0 < sample_dt < duration:
+        grid = [j * sample_dt for j in range(1, int(duration / sample_dt) + 1)]
+    targets = [s for s in grid if s < duration * (1 - 1e-12)] + [duration]
+    samples = []
     if on_step is not None:
         on_step(0.0, y)
 
@@ -230,7 +243,7 @@ def integrate_segment(
     dense_vmax = _KERNELS[len(y)][1]
     try:
         k1 = field(*y, u)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    except _DOMAIN_ERRORS as exc:
         raise IntegrationError(f"right-hand side failed at start: {exc}") from exc
 
     while target_idx < len(targets):
@@ -239,7 +252,10 @@ def integrate_segment(
         if gap <= 1e-14 * max(1.0, abs(t)):
             # arrived within roundoff of the target; the state is the
             # target state to machine precision
-            samples.append((target, np.array(y)))
+            try:
+                samples.append((target, y, v(*y)))
+            except _DOMAIN_ERRORS as exc:
+                raise IntegrationError(f"V failed at t = {t}: {exc}") from exc
             t = target
             target_idx += 1
             continue
@@ -248,7 +264,7 @@ def integrate_segment(
             raise IntegrationError(f"step size underflow at t = {t}")
         try:
             y_new, err_norm, ks = _stages(field, u, y, h, k1, atol, rtol)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        except _DOMAIN_ERRORS as exc:
             raise IntegrationError(f"right-hand side failed near t = {t}: {exc}") from exc
         # a NaN error estimate would leave h unchanged and the step rejected forever
         if err_norm != err_norm or not all(map(math.isfinite, y_new)):
@@ -256,24 +272,31 @@ def integrate_segment(
         if err_norm <= h:
             rows = _DENSE_WEIGHTS[math.ceil(_DENSE_GRID * h / duration)]
             if rows:
-                v_max = dense_vmax(v, y, h, ks, rows, v_max)
+                try:
+                    v_max = dense_vmax(v, y, h, ks, rows, v_max)
+                except _DOMAIN_ERRORS as exc:
+                    raise IntegrationError(
+                        f"V failed inside the step from t = {t}: {exc}") from exc
                 if v_max > v_limit:
-                    return samples, np.array(y), v_max
+                    return samples, v_max
             t += h
             y = y_new
             k1 = ks[-1]
             if on_step is not None:
                 on_step(t, y)
-            v_end = v(*y)
+            try:
+                v_end = v(*y)
+            except _DOMAIN_ERRORS as exc:
+                raise IntegrationError(f"V failed at t = {t}: {exc}") from exc
             if v_end > v_max:
                 v_max = v_end
                 if v_max > v_limit:
-                    return samples, np.array(y), v_max
+                    return samples, v_max
             if max(map(abs, y)) > _DIVERGENCE_BOUND:
                 raise IntegrationError(
                     f"state norm exceeded divergence bound {_DIVERGENCE_BOUND} at t = {t}")
             if t >= target:
-                samples.append((target, np.array(y)))
+                samples.append((target, y, v_end))
                 t = target
                 target_idx += 1
             factor = _SAFETY * (h / max(err_norm, 1e-300)) ** 0.25
@@ -281,4 +304,4 @@ def integrate_segment(
         else:
             factor = _SAFETY * (h / err_norm) ** 0.25
             h *= max(_MIN_FACTOR, min(1.0, factor))
-    return samples, np.array(y), v_max
+    return samples, v_max

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import (
-    Case, Certificate, DEFAULT_N_MAX, SystemDef, certify_grid, certify_point,
+    Case, DEFAULT_N_MAX, GridEntry, SystemDef, certify_grid, certify_point,
 )
 from .lie import ScalarField, VectorField
 from .simloop import (
@@ -205,14 +205,14 @@ def read_trajectory_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.array(times), np.array(states), np.array(vs)
 
 
-def write_certificate_csv(path: Path, entries: Sequence[tuple[Sequence[float], Certificate | None, bool]],
-                          dim: int) -> None:
+def write_certificate_csv(path: Path, entries: Sequence[GridEntry], dim: int) -> None:
     """Long format: one row per witness, point and case columns repeated."""
     lines = [",".join(f"x{i}" for i in range(1, dim + 1))
              + ",case,N,gV,fV,witness_name,witness_value"]
-    for point, cert, skipped in entries:
-        coords = [_fmt(c) for c in point]
-        if skipped or cert is None:
+    for entry in entries:
+        coords = [_fmt(c) for c in entry.point]
+        cert = entry.certificate
+        if cert is None:
             lines.append(",".join(coords + ["skipped", "0", "", "", "", ""]))
             continue
         gv = cert.witnesses.get("gV")
@@ -365,15 +365,13 @@ def run(args: argparse.Namespace) -> int:
             print(f"  {name} = {_fmt(value)}")
         if cert.detail:
             print(f"  {cert.detail}")
-        write_certificate_csv(
-            out / "certificates.csv",
-            [(tuple(args.at), cert, False)], sys_def.dim)
+        write_certificate_csv(out / "certificates.csv",
+                              [GridEntry(tuple(args.at), False, cert)], sys_def.dim)
         return 2 if cert.case is Case.INCONCLUSIVE else 0
 
     if args.command == "certify-grid":
         entries = certify_grid(sys_def, args.box, args.res, n_max=args.nmax)
-        rows = [(e.point, e.certificate, e.skipped) for e in entries]
-        write_certificate_csv(out / "certificates.csv", rows, sys_def.dim)
+        write_certificate_csv(out / "certificates.csv", entries, sys_def.dim)
         counts: dict[str, int] = {}
         for e in entries:
             key = "skipped" if e.skipped else e.certificate.case.value

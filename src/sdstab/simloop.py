@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rk import IntegrationError
+from ._rk import IntegrationError, _check_positive
 from .certify import DEFAULT_N_MAX, SystemDef, _check_n_max
 from .synth import (
     CertificateInconclusive, StepResult, SynthesisFailed, flow_endpoint,
@@ -51,18 +51,6 @@ _SAMPLES_PER_INTERVAL = 100
 # a chain that needs more fails its interval
 _MAX_CHAIN_PROGRAMS = 4096
 _LANDING_RTOL = 1e-9
-
-
-def _check_horizon(horizon: float) -> None:
-    # an infinite horizon would make the partition's time list endless
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-
-
-def _check_stop_radius(stop_radius: float) -> None:
-    # a NaN radius would never stop the run, and an infinite one stops it at 0
-    if not (stop_radius > 0 and math.isfinite(stop_radius)):
-        raise ValueError(f"stop radius must be positive and finite, got {stop_radius}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,8 @@ class Partition:
         """Strictly increasing times from 0 through the first one >= horizon,
         generated one at a time, so that a run that stops early holds none of
         those beyond its stop. The horizon is checked before the first."""
-        _check_horizon(horizon)
+        # an infinite horizon would make the time list endless
+        _check_positive("horizon", horizon)
         for t in self.lead_times:
             yield t
             if t >= horizon:
@@ -173,7 +162,7 @@ def plan_interval(
     state reproduces the same control schedule exactly.
     """
     steps: list[StepResult] = []
-    state = np.asarray(z, dtype=float)
+    state = z
     remaining = duration
     while remaining > 0:
         if float(np.linalg.norm(state)) <= stop_radius:
@@ -194,12 +183,11 @@ def plan_interval(
             # snap onto the interval end; the relative rescale is O(1e-9)
             # and preserves the two-segment duration ratio exactly
             program = result.program.scaled(remaining / eps)
-            end = flow_endpoint(sys, state, program, tol)[0][-1][1]
             result = replace(result, program=program,
-                             end_state=tuple(float(v) for v in end))
+                             end_state=flow_endpoint(sys, state, program, tol)[0][-1][1])
             eps = remaining
         steps.append(result)
-        state = np.array(result.end_state)
+        state = result.end_state
         remaining -= eps
     return steps
 
@@ -216,16 +204,21 @@ def run_closed_loop(
     state enters the stop radius. Programs are capped by the time remaining
     in their interval, so ``xi_cap`` only bounds the longest step ever
     attempted. The partition times are generated as the run reaches them,
-    so a huge horizon costs nothing beyond the stop."""
+    so a huge horizon costs nothing beyond the stop. The trajectory records
+    the integrator's samples, each state with the V the kernel computed
+    there. Raises ValueError unless x0 and V(x0) are finite and the horizon,
+    stop radius, ``xi_cap`` and ``tol`` are positive and finite."""
     # also when the start is already inside the stop radius
     _check_n_max(n_max)
-    _check_horizon(horizon)
-    _check_stop_radius(stop_radius)
-    x = np.asarray(x0, dtype=float)
-    v0 = sys.v_value(x)
-    times = [0.0]
-    states = [x.copy()]
-    checkpoints = [(0.0, x.copy(), v0)]
+    _check_positive("horizon", horizon)
+    # a NaN radius would never stop the run, and an infinite one stops it at 0
+    _check_positive("stop radius", stop_radius)
+    _check_positive("max step duration", xi_cap)
+    _check_positive("tolerance", tol)
+    v0 = sys.v_value(x0)
+    x = tuple(map(float, x0))
+    times, states, v_values = [0.0], [x], [v0]
+    checkpoints = [(0.0, np.array(x), v0)]
     events: list[float] = []
     intervals: list[IntervalRecord] = []
     stopped = False
@@ -240,33 +233,33 @@ def run_closed_loop(
         t_b = min(t_b, horizon)
         if t_b <= t_a or stopped:
             break
-        measured = tuple(float(v) for v in x)
         try:
             planned = plan_interval(
                 sys, x, t_b - t_a, xi_cap, tol=tol, n_max=n_max,
                 stop_radius=stop_radius)
         except (SynthesisFailed, CertificateInconclusive, IntegrationError) as exc:
             failure = f"interval [{t_a}, {t_b}): {exc}"
-            intervals.append(IntervalRecord(t_a, t_b, measured, []))
+            intervals.append(IntervalRecord(t_a, t_b, x, []))
             break
-        intervals.append(IntervalRecord(t_a, t_b, measured, planned))
+        intervals.append(IntervalRecord(t_a, t_b, x, planned))
         sample_dt = (t_b - t_a) / _SAMPLES_PER_INTERVAL
         for step in planned:
             base_v = checkpoints[-1][2]
             samples, piece_sup = flow_endpoint(
                 sys, x, step.program, tol, sample_dt=sample_dt)
-            for s, y in samples:
+            for s, y, v in samples:
                 times.append(t_cursor + s)
                 states.append(y)
+                v_values.append(v)
             t_switch = 0.0
             for _, duration in step.program.segments:
                 t_switch += duration
                 events.append(t_cursor + t_switch)
             t_cursor = events[-1]
-            x = samples[-1][1]
+            _, x, v = samples[-1]
             if base_v > 0:
                 overshoot = max(overshoot, piece_sup / base_v)
-            checkpoints.append((t_cursor, x.copy(), sys.v_at(x)))
+            checkpoints.append((t_cursor, np.array(x), v))
             if float(np.linalg.norm(x)) <= stop_radius:
                 stopped = True
                 stop_time = t_cursor
@@ -280,34 +273,21 @@ def run_closed_loop(
         if stopped:
             break
 
-    traj = _assemble(sys, times, states, checkpoints, events)
-    report = _report(traj, intervals, stopped, stop_time, failure, overshoot)
-    return traj, report
-
-
-def _assemble(sys, times, states, checkpoints, events) -> Trajectory:
-    times = np.array(times)
-    states = np.vstack(states)
-    v_values = np.array([sys.v_at(y) for y in states])
-    return Trajectory(times, states, v_values, checkpoints, events)
-
-
-def _report(traj: Trajectory, intervals, stopped, stop_time, failure,
-            overshoot) -> LoopReport:
+    traj = Trajectory(np.array(times), np.array(states), np.array(v_values),
+                      checkpoints, events)
     final_state = traj.states[-1]
-    checkpoint_vs = [(t, v) for t, _, v in traj.checkpoints]
-    thresholds = _threshold_times(traj)
-    return LoopReport(
+    report = LoopReport(
         final_state=final_state,
         final_norm=float(np.linalg.norm(final_state)),
-        checkpoint_vs=checkpoint_vs,
+        checkpoint_vs=[(t, v) for t, _, v in checkpoints],
         overshoot_ratio=overshoot,
-        threshold_times=thresholds,
+        threshold_times=_threshold_times(traj),
         intervals=intervals,
         stopped_early=stopped,
         stop_time=stop_time,
         failure=failure,
     )
+    return traj, report
 
 
 def _threshold_times(traj: Trajectory) -> dict[float, float]:

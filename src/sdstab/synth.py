@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rk import IntegrationError, integrate_segment
+from ._rk import _DOMAIN_ERRORS, IntegrationError, _check_positive, integrate_segment
 from .certify import (
     Case, Certificate, DEFAULT_N_MAX, DEFAULT_TAU_ZERO, SystemDef, certify_point,
 )
@@ -112,42 +112,38 @@ class _BoundExceeded(Exception):
 def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
                   tol: float = 1e-10, *, v_limit: float = math.inf,
                   sample_dt: float | None = None
-                  ) -> tuple[list[tuple[float, np.ndarray]], float]:
-    """Samples and max-V along a program: the (t, state) pairs, t from the
-    program's start, at each multiple of ``sample_dt`` inside every segment
-    (none by default) and at every segment end, so that the last sample is
-    the end state. V is checked at x0, and by the integrator at every
+                  ) -> tuple[list[tuple[float, tuple[float, ...], float]], float]:
+    """Samples and max-V along a program: the kernel's (t, state, V) triples
+    (see integrate_segment), t from the program's start, at each multiple of
+    ``sample_dt`` inside every segment (none by default) and at every
+    segment end, so that the last sample is the end state and its V. States
+    are tuples of floats. V is checked at x0, and by the integrator at every
     accepted step and on the continuous extension inside it, so that it is
     sampled at least every duration/16 of each segment while the step size
     follows the error control alone. The bound is checked once per accepted
     step: _BoundExceeded is raised at x0, or after the step whose states
     first bring V above ``v_limit``, so that a caller that rejects such a
-    program does not pay for the rest of it."""
-    y = np.asarray(x0, dtype=float)
-    v_max = sys.v_at(y)
+    program does not pay for the rest of it. A domain error of F or V, at
+    x0 too, raises IntegrationError."""
+    field, v = sys.kernel_fns
+    y = tuple(map(float, x0))
+    try:
+        v_max = v(*y)
+    except _DOMAIN_ERRORS as exc:
+        raise IntegrationError(f"V failed at the start: {exc}") from exc
     if v_max > v_limit:
         raise _BoundExceeded
-    field, v = sys.kernel_fns
     out = []
     t_base = 0.0
     for value, duration in program.segments:
-        interior = None if sample_dt is None else _interior_grid(duration, sample_dt)
-        samples, y, v_max = integrate_segment(
-            field, float(value), y, duration, tol, sample_times=interior,
-            v=v, v_max=v_max, v_limit=v_limit)
+        samples, v_max = integrate_segment(
+            field, float(value), y, duration, tol, v, v_max, sample_dt, v_limit=v_limit)
         if v_max > v_limit:
             raise _BoundExceeded
-        out.extend((t_base + s, state) for s, state in samples[1:])
+        out.extend((t_base + t, state, v_state) for t, state, v_state in samples)
+        y = samples[-1][1]
         t_base += duration
     return out, v_max
-
-
-def _interior_grid(duration: float, sample_dt: float) -> list[float]:
-    if sample_dt <= 0 or sample_dt >= duration:
-        return []
-    count = int(math.floor(duration / sample_dt))
-    grid = [j * sample_dt for j in range(1, count + 1)]
-    return [s for s in grid if s < duration * (1 - 1e-12)]
 
 
 # integration tolerance of the composed flows behind the diagnostics
@@ -164,7 +160,7 @@ def composed_flow(sys: SystemDef, x0, rho: float, u1: float, t: float) -> np.nda
         raise ValueError(f"rho must be > 0, got {rho}")
     if t == 0.0:
         return np.array(x0, dtype=float)
-    return flow_endpoint(sys, x0, two_phase_program(rho, u1, t), _FLOW_TOL)[0][-1][1]
+    return np.array(flow_endpoint(sys, x0, two_phase_program(rho, u1, t), _FLOW_TOL)[0][-1][1])
 
 
 def m_of_t(sys: SystemDef, x0, rho: float, u1: float, t: float) -> float:
@@ -332,14 +328,15 @@ def synthesize_step(
     The candidates are those of ``_candidates`` for the certificate's case,
     and the first one whose simulation drops V by more than the floor
     without exceeding 2 V(x0) is returned. The result is a pure function
-    of the arguments. Raises ValueError when x0, V(x0) or xi is not finite.
+    of the arguments. Raises ValueError when x0 or V(x0) is not finite, or
+    when xi or tol is not positive and finite.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = sys.v_value(x0)
     if float(np.linalg.norm(x0)) <= DEFAULT_TAU_ZERO:
         raise ValueError("cannot synthesize a step at the origin")
-    if not 0 < xi < math.inf:
-        raise ValueError(f"max duration must be positive and finite, got {xi}")
+    _check_positive("max duration", xi)
+    _check_positive("tolerance", tol)
     cert = certify_point(sys, x0, n_max=n_max)
     if cert.case is Case.INCONCLUSIVE:
         raise CertificateInconclusive(cert)
@@ -354,13 +351,12 @@ def synthesize_step(
             samples, v_max = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
         except (IntegrationError, _BoundExceeded):
             continue
-        end = samples[-1][1]
-        drop = v0 - sys.v_at(end)
+        _, end, v_end = samples[-1]
+        drop = v0 - v_end
         if best is None or drop > best:
             best = drop
         if drop > drop_floor:
-            return StepResult(program, cert, rho, u1, drop, v_max / v0,
-                              tuple(float(v) for v in end))
+            return StepResult(program, cert, rho, u1, drop, v_max / v0, end)
     raise SynthesisFailed(
         f"search grids exhausted for case {cert.case.value}",
         best_drop=best, simulations=simulations, certificate=cert)

@@ -205,6 +205,11 @@ def _run_module(argv, systems_dir, out):
     ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "explicit:0,inf"],
     ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "explicit:0,0.5+inf"],
     ["simulate", "--x0", "1,0", "--horizon", "2", "--partition", "explicit:0,nan,1"],
+    # checked before the run starts, although a start inside the stop
+    # radius runs no interval
+    *(["simulate", "--x0", "0.0001,0", "--partition", "uniform:0.5", "--horizon", "2",
+       option, value] for option, value in
+      (("--xi", "0"), ("--xi", "-5"), ("--tol", "0"), ("--tol", "-1"))),
 ])
 def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
     done = _run_module(argv, systems_dir, tmp_path)
@@ -216,6 +221,32 @@ def test_non_finite_input_exits_one(systems_dir, tmp_path, argv):
         assert done.stderr.startswith(f"error: --t {argv[-1]!r} "), done.stderr
     if argv[-2] == "--partition":
         assert "must be finite" in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["diagnose-m", "--at", "26,0.5"], 1, "error: V failed "),
+    (["step", "--at", "26,0.5"], 2, "not achieved: search grids exhausted "),
+    (["simulate", "--x0", "26,0.5", "--partition", "uniform:0.5", "--horizon", "2"],
+     2, "  synthesis failure: interval [0.0, 0.5): search grids exhausted "),
+])
+def test_v_overflow_along_the_flow_is_no_traceback(tmp_path, argv, code, message):
+    """exp(x1^2) overflows once the drift has carried x1 past 26.64."""
+    steep = tmp_path / "steep.sys"
+    steep.write_text('dim = 2\nf = ["1000", "0"]\ng = ["0", "1"]\n'
+                     'V = "exp(x1^2)-1+x2^2"\n')
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sdstab", *argv, "--system", str(steep),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 1:
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+    elif argv[0] == "step":
+        assert done.stderr.startswith(message), done.stderr
+    else:
+        assert done.stdout.splitlines()[-1].startswith(message), done.stdout
 
 
 @pytest.mark.parametrize("argv", [

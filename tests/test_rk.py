@@ -190,40 +190,56 @@ def test_rhs_domain_errors_become_integration_errors():
         integrate_segment(_field("x1^9"), 0.0, [1e40], 1.0, 1e-10, _zero_v, -math.inf)
 
 
+def test_v_domain_errors_become_integration_errors():
+    # x1 = 26 + 1000 t, so exp(x1^2) overflows once x1 passes 26.64. Over
+    # 1 s, the first step (0.02 s, no extension state) ends beyond that; over
+    # 1 ms, an extension state inside the fourth step is the first beyond it.
+    def v(x1, x2):
+        return math.exp(x1 * x1) - 1.0 + x2 * x2
+
+    for duration, where in ((1.0, "at t = 0.02:"), (0.001, "inside the step from t = ")):
+        with pytest.raises(IntegrationError, match=f"V failed {where}") as info:
+            integrate_segment(_field("1000", "0"), 0.0, [26.0, 0.5], duration, 1e-10,
+                              v, v(26.0, 0.5))
+        assert isinstance(info.value.__cause__, OverflowError)
+    # a segment within roundoff of 0 takes no step: V is evaluated at the start
+    with pytest.raises(IntegrationError, match="V failed at t = 0.0:"):
+        integrate_segment(_field("1000", "0"), 0.0, [27.0, 0.5], 1e-15, 1e-10, v, 0.0)
+
+
 def test_tolerance_must_be_positive():
     for tol in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             integrate_segment(_field("-x1"), 0.0, [1.0], 1.0, tol, _zero_v, -math.inf)
 
 
-def test_duration_must_be_non_negative_and_finite():
-    for duration in (-0.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="segment duration"):
+def test_duration_must_be_positive_and_finite():
+    # no control program has a segment of zero duration
+    for duration in (0.0, -0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="segment duration must be positive"):
             integrate_segment(_field("-x1"), 0.0, [1.0], duration, 1e-10,
                               _zero_v, -math.inf)
 
 
-def test_boundary_types_are_arrays(dblint):
-    field = dblint.kernel_fns[0]
+def test_samples_are_tuples_with_the_kernels_v(dblint):
+    field, v = dblint.kernel_fns
     seen = []
-    samples, y_end, v_max = integrate_segment(
+    samples, v_max = integrate_segment(
         field, 1.0, np.array([1.0, 0.0]), 0.5, 1e-10, _zero_v, -math.inf,
-        sample_times=[0.25], on_step=lambda t, y: seen.append(y))
-    assert isinstance(y_end, np.ndarray) and y_end.shape == (2,)
-    assert [t for t, _ in samples] == [0.0, 0.25, 0.5]
-    assert all(isinstance(y, np.ndarray) and y.shape == (2,) for _, y in samples)
-    assert _bits(samples[-1][1]) == _bits(y_end)
+        sample_dt=0.25, on_step=lambda t, y: seen.append(y))
+    # the start is not a sample
+    assert [t for t, _, _ in samples] == [0.25, 0.5]
+    assert all(isinstance(y, tuple) and len(y) == 2 for _, y, _ in samples)
     assert all(isinstance(y, tuple) for y in seen)
+    # each sample is the state of an accepted step, with V = 0 there
+    assert all(y in seen and v_y == 0.0 for _, y, v_y in samples)
     # V = 0 at every state, above the v_max passed in
     assert v_max == 0.0
     # ydot = (x2, 1) from (1, 0): x(t) = (1 + t^2/2, t)
-    np.testing.assert_allclose(y_end, [1.125, 0.5], rtol=1e-12)
-    samples, y_end, v_max = integrate_segment(
-        field, 1.0, [1.0, 0.0], 0.0, 1e-10, _zero_v, -math.inf)
-    # no step, no V: the v_max passed in
-    assert v_max == -math.inf
-    assert isinstance(y_end, np.ndarray)
-    assert all(isinstance(y, np.ndarray) for _, y in samples)
+    np.testing.assert_allclose(samples[-1][1], [1.125, 0.5], rtol=1e-12)
+    samples, _ = integrate_segment(field, 1.0, [1.0, 0.0], 0.5, 1e-10, v, -math.inf,
+                                   sample_dt=0.1)
+    assert all(_bits(v_y) == _bits(v(*y)) for _, y, v_y in samples)
     end = fixed_steps(field, 1.0, [1.0, 0.0], 0.5, 8)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
     np.testing.assert_allclose(end, [1.125, 0.5], rtol=1e-12)
@@ -248,9 +264,10 @@ def test_dense_states_follow_the_exact_solution():
         events.append(("v", x1))
         return x1
 
-    _, y_end, v_max = integrate_segment(
+    samples, v_max = integrate_segment(
         _field("-x1"), 0.0, [1.0], duration, 1e-10, v, -math.inf,
         on_step=lambda t, y: events.append((t, y[0])))
+    (_, (y_end,), v_end), = samples
     # each accepted step evaluates V at its extension's states, then calls
     # on_step, then evaluates V at its end state
     assert events[0] == (0.0, 1.0)
@@ -279,7 +296,8 @@ def test_dense_states_follow_the_exact_solution():
     assert dense_count > 0
     assert times[-1] == duration
     assert max(b - a for a, b in zip(times, times[1:])) <= duration / 16 * (1 + 1e-12)
-    assert abs(y_end[0] - math.exp(-duration)) <= 1e-9
+    assert abs(y_end - math.exp(-duration)) <= 1e-9
+    assert v_end == y_end == sampled_v[-1]
     # V = x1 decreases, so its maximum is at the first sample after x0
     assert v_max == sampled_v[0] == max(sampled_v)
 
@@ -316,12 +334,12 @@ def test_v_limit_stops_after_the_step_that_passes_it(peak_inside_step):
     steps = []
     full = integrate_segment(field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01,
                              on_step=lambda t, y: steps.append(t))
-    assert 0.249 <= full[2] <= 0.25 and steps[-1] == 2.0
+    assert 0.249 <= full[1] <= 0.25 and steps[-1] == 2.0
     cut_steps = []
-    samples, y, v_max = integrate_segment(
+    samples, v_max = integrate_segment(
         field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01, v_limit=0.1,
         on_step=lambda t, y: cut_steps.append(t))
     assert v_max > 0.1
-    assert [t for t, _ in samples] == [0.0]
+    assert samples == []
     # stopped before the step whose extension passed the limit was reported
     assert cut_steps == steps[:len(cut_steps)] and len(cut_steps) < len(steps)

@@ -93,6 +93,16 @@ def test_invalid_stop_radius_rejected(dblint, stop_radius):
                             stop_radius=stop_radius)
 
 
+@pytest.mark.parametrize("option", ["xi_cap", "tol"])
+@pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+def test_invalid_xi_cap_and_tol_rejected(dblint, option, value):
+    # checked up front, so also when the start is inside the stop radius
+    what = "max step duration" if option == "xi_cap" else "tolerance"
+    for x0 in ([1.0, 0.0], [1e-4, 0.0]):
+        with pytest.raises(ValueError, match=f"{what} must be positive and finite"):
+            run_closed_loop(dblint, x0, Partition.uniform(0.5), 1.0, **{option: value})
+
+
 _HUGE_HORIZON_RUN = """
 import resource, sys
 cap = 1 << 30
@@ -129,7 +139,7 @@ def test_integrate_sees_a_peak_inside_one_step(peak_inside_step):
     # no sample time inside the segment, so the steps grow to about 1
     samples, v_max = flow_endpoint(
         peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)), sample_dt=2.0)
-    assert [t for t, _ in samples] == [2.0]
+    assert [t for t, _, _ in samples] == [2.0]
     assert 0.249 <= v_max <= 0.25
 
 
@@ -141,17 +151,43 @@ def test_integrate_zero_dynamics(inert):
 def test_integrate_records_switches_and_v(dblint):
     prog = ControlProgram(((1.0, 0.5), (-1.0, 0.5)))
     samples, v_max = flow_endpoint(dblint, [0.0, 0.0], prog, sample_dt=0.1)
-    times = [t for t, _ in samples]
+    times = [t for t, _, _ in samples]
     assert np.all(np.diff(times) > 0)
     assert 0.5 in times
     assert times[-1] == pytest.approx(1.0)
-    assert v_max >= max(dblint.v_at(y) for _, y in samples)
+    assert v_max >= max(dblint.v_at(y) for _, y, _ in samples)
+
+
+def test_flow_endpoint_samples_carry_the_kernels_v(dblint):
+    # the 1e-14 s segments end within roundoff of their start, with no step
+    tiny = 1e-14
+    prog = ControlProgram(((1.0, 0.3), (-1.0, tiny), (0.5, 0.25), (1.0, tiny / 2)))
+    samples, v_max = flow_endpoint(dblint, [0.2, -0.1], prog, sample_dt=0.1)
+    times = [t for t, _, _ in samples]
+    assert times == pytest.approx([0.1, 0.2, 0.3, 0.3, 0.4, 0.5, 0.55, 0.55])
+    assert samples[3][1] == samples[2][1] and samples[-1][1] == samples[-2][1]
+    for _, state, v in samples:
+        assert isinstance(state, tuple)
+        assert v.hex() == dblint.v_at(state).hex()
+    assert v_max >= max(v for _, _, v in samples)
+
+
+def test_flow_endpoint_turns_a_v_domain_error_into_integration_error():
+    # V = exp(x1^2) - 1 + x2^2 overflows at the start (27, 0.5), and along
+    # the flow from (26, 0.5) once x1 passes 26.64
+    steep = SystemDef(VectorField.from_strings(["1000", "0"], 2),
+                      VectorField.from_strings(["0", "1"], 2),
+                      ScalarField.from_string("exp(x1^2)-1+x2^2", 2))
+    with pytest.raises(IntegrationError, match="V failed at the start"):
+        flow_endpoint(steep, [27.0, 0.5], ControlProgram(((0.0, 0.1),)))
+    with pytest.raises(IntegrationError, match="V failed"):
+        flow_endpoint(steep, [26.0, 0.5], ControlProgram(((0.0, 0.1),)))
 
 
 def test_integrate_dense_grid(dblint):
     samples, _ = flow_endpoint(
         dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), sample_dt=0.01)
-    assert [t for t, _ in samples] == pytest.approx([0.01 * j for j in range(1, 101)])
+    assert [t for t, _, _ in samples] == pytest.approx([0.01 * j for j in range(1, 101)])
 
 
 def test_tightening_tolerance_reduces_error(circular):
@@ -226,8 +262,10 @@ def test_closed_loop_overshoot_bound(short_run):
 def test_closed_loop_trajectory_consistency(short_run, dblint):
     traj, _ = short_run
     assert np.all(np.diff(traj.times) >= 0)
+    assert len(traj.v_values) == len(traj.states)
     for state, v in zip(traj.states, traj.v_values):
-        assert v == pytest.approx(dblint.v_at(state), abs=1e-12)
+        # the kernel's V at each sample, bit for bit
+        assert float(v).hex() == dblint.v_at(state).hex()
 
 
 def test_closed_loop_immediate_return_inside_stop_radius(dblint):
@@ -261,7 +299,7 @@ def test_executor_runs_the_planned_programs_through_flow_endpoint(dblint):
     flow_endpoint chained over the planned programs on the interval's grid."""
     program = ControlProgram(((1.0, 0.25), (-1.0, 0.5)))
     samples, _ = flow_endpoint(dblint, [0.0, 0.0], program, sample_dt=0.1)
-    times = [t for t, _ in samples]
+    times = [t for t, _, _ in samples]
     assert times == pytest.approx([0.1, 0.2, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
     assert times[2] == 0.25 and times[-1] == 0.75
     # x1'' = u: up to (1/32, 1/4), then back to x1 = 1/32 with the speed reversed
@@ -277,8 +315,8 @@ def test_executor_runs_the_planned_programs_through_flow_endpoint(dblint):
     times, states, events = [], [], []
     for step in record.steps:
         samples, _ = flow_endpoint(dblint, x, step.program, sample_dt=sample_dt)
-        times += [t_cursor + t for t, _ in samples]
-        states += [y for _, y in samples]
+        times += [t_cursor + t for t, _, _ in samples]
+        states += [y for _, y, _ in samples]
         t_switch = 0.0
         for _, duration in step.program.segments:
             t_switch += duration

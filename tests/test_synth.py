@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdstab import synth
 from sdstab.certify import Case, SystemDef, certify_point
 from sdstab.lie import ScalarField, VectorField
 from sdstab._rk import IntegrationError
@@ -153,7 +154,7 @@ def test_time_must_be_non_negative_and_finite(dblint, t):
 def test_flow_endpoint_sees_a_peak_inside_one_step(peak_inside_step):
     samples, v_max = flow_endpoint(
         peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)))
-    assert [t for t, _ in samples] == [2.0]
+    assert [t for t, _, _ in samples] == [2.0]
     np.testing.assert_allclose(samples[-1][1], [0.0, -1.0], atol=1e-9)
     assert 0.249 <= v_max <= 0.25
 
@@ -199,6 +200,16 @@ def test_step_rejects_non_finite_state(dblint, point):
 def test_step_rejects_a_duration_cap_that_is_not_positive_and_finite(dblint, xi):
     with pytest.raises(ValueError, match="max duration"):
         synthesize_step(dblint, [1.0, 0.0], xi)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_step_rejects_a_tolerance_before_certification(dblint, tol, monkeypatch):
+    def no_certification(*args, **kwargs):
+        raise AssertionError("certified before the tolerance was checked")
+
+    monkeypatch.setattr(synth, "certify_point", no_certification)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        synthesize_step(dblint, [1.0, 0.0], 0.5, tol=tol)
 
 
 def test_step_p4_rotation(rotation3):
