@@ -6,10 +6,11 @@ with candidate function V:
 
 * Transversal       -- (gV)(x) != 0; a constant input moves V directly.
 * ArtsteinSontag    -- (gV)(x) = 0 and (fV)(x) < 0.
-* P1..P4 with N     -- (gV)(x) = 0, the iterated drift derivatives
-  f^i V and all bracket-monomial derivatives of total order <= N vanish
-  at x, and one signed/nonzero condition on f^{N+1}V or an N-fold
-  adjoint bracket holds (P1 > P2 > P3 > P4 at the smallest qualifying N).
+* P1..P4 with N     -- (gV)(x) = 0, all bracket-monomial derivatives of
+  total order <= N vanish at x, and one signed/nonzero condition on
+  f^{N+1}V or an N-fold adjoint bracket holds (P1 > P2 > P3 > P4 at the
+  smallest qualifying N). The vanishing check at order i reads the table
+  lie.enumerate_monomial_products(i), whose first row is f^i V.
 * Inconclusive      -- none of the above up to N_max. This is a
   first-class outcome: the conditions are sufficient, not necessary.
 
@@ -81,10 +82,9 @@ class SystemDef:
     g: VectorField
     V: ScalarField
     # the scalar fields of bracket monomials (keyed by ("scalar", word
-    # tuple)), realized bracket words (keyed by word) and the monomials of
-    # each exact order (keyed by ("products", N)). The first point at n_max 5
-    # where every monomial vanishes builds 395 scalars and 216 word fields in
-    # 0.052 s (2-core host); later points only evaluate.
+    # tuple)) and realized bracket words (keyed by word). The first point at
+    # n_max 5 where every monomial vanishes builds 395 scalars and 216 word
+    # fields in 0.052 s (2-core host); later points only evaluate.
     _fns: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -186,18 +186,6 @@ def monomial_value(sys: SystemDef, words: tuple[LieWord, ...], x,
     return evaluate(_monomial_scalar(sys, words).body, x, memo)
 
 
-def _exact_order_products(sys: SystemDef, N: int) -> tuple[tuple[LieWord, ...], ...]:
-    """The bracket monomials of total order exactly N, enumerated once per
-    system."""
-    key = ("products", N)
-    products = sys._fns.get(key)
-    if products is None:
-        products = sys._fns[key] = tuple(
-            words for words in enumerate_monomial_products(N)
-            if sum(w.order for w in words) == N)
-    return products
-
-
 def _adjoint_words() -> tuple[tuple[LieWord, LieWord], ...]:
     words = [(WORD_F, WORD_G)]
     for _ in range(N_MAX_LIMIT):
@@ -274,16 +262,11 @@ def certify_point(
         return Certificate(Case.ARTSTEIN_SONTAG, 0, witnesses, tau_zero, tol)
 
     for N in range(1, n_max + 1):
-        # vanishing conditions, incremental in N: f^N V and the bracket
-        # monomials of total order exactly N; a failure here persists for
-        # every larger N, so the whole branch is then settled.
-        name = f"f^{N}V" if N > 1 else "fV"
-        fnv = witnesses[name] = value((WORD_F,) * N, name)
-        if abs(fnv) > tol:
-            return Certificate(
-                Case.INCONCLUSIVE, 0, witnesses, tau_zero, tol,
-                detail=f"f^{N}V(x) = {fnv} is not zero at tolerance {tol}")
-        for words in _exact_order_products(sys, N):
+        # vanishing conditions, incremental in N: the bracket monomials of
+        # total order exactly N, led by f^N V, which is already a witness; a
+        # failure here persists for every larger N, so the whole branch is
+        # then settled.
+        for words in enumerate_monomial_products(N):
             v = value(words)
             if abs(v) > tol:
                 name = "".join(w.label() for w in words)

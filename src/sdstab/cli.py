@@ -510,3 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ExprError, IntegrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    except RecursionError:
+        # every recursion of the package walks an expression tree
+        print("error: an expression is nested too deeply", file=_sys.stderr)
+        return 1

@@ -216,28 +216,31 @@ def lie_words(order: int) -> tuple[LieWord, ...]:
     return tuple(out)
 
 
-def enumerate_monomial_products(total_order: int) -> tuple[tuple[LieWord, ...], ...]:
+def enumerate_monomial_products(order: int) -> tuple[tuple[LieWord, ...], ...]:
     """Ordered tuples (D_1, ..., D_k), k >= 1, of bracket words excluding
-    the bare 'g' leaf, with total order at most ``total_order``.
+    the bare 'g' leaf, with total order exactly ``order``: 1, 3, 13, 61, 313
+    and 1,673 tuples for orders 1..6. They run lexicographically in
+    (word order, index in lie_words) at each position, so the first is
+    (f, ..., f). Each order's table is built once per process.
 
     Duplicates are removed only up to leaf-tree isomorphism; words related
     by antisymmetry or Jacobi identities are kept (redundant checks cost
     time, not correctness).
     """
-    if total_order < 1:
-        raise ValueError(f"total order must be >= 1, got {total_order}")
-    words_by_order = {
-        m: tuple(w for w in lie_words(m) if w != WORD_G)
-        for m in range(1, total_order + 1)
-    }
-    results: list[tuple[LieWord, ...]] = []
+    if order < 1:
+        raise ValueError(f"total order must be >= 1, got {order}")
+    return _products_of_order(order)
 
-    def extend(prefix: tuple[LieWord, ...], remaining: int):
-        for m in range(1, remaining + 1):
-            for w in words_by_order[m]:
-                item = prefix + (w,)
-                results.append(item)
-                extend(item, remaining - m)
 
-    extend((), total_order)
-    return tuple(results)
+@lru_cache(maxsize=None)
+def _products_of_order(order: int) -> tuple[tuple[LieWord, ...], ...]:
+    out: list[tuple[LieWord, ...]] = []
+    for m in range(1, order + 1):
+        for w in lie_words(m):
+            if w == WORD_G:
+                continue
+            if m == order:
+                out.append((w,))
+            else:
+                out.extend((w,) + rest for rest in _products_of_order(order - m))
+    return tuple(out)

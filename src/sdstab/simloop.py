@@ -231,7 +231,7 @@ def run_closed_loop(
     t_cursor = 0.0
     for t_a, t_b in itertools.pairwise(partition.times_until(horizon)):
         t_b = min(t_b, horizon)
-        if t_b <= t_a or stopped:
+        if stopped:
             break
         try:
             planned = plan_interval(
@@ -292,8 +292,6 @@ def run_closed_loop(
 
 def _threshold_times(traj: Trajectory) -> dict[float, float]:
     """First time from which V stays at or below each half-decade threshold."""
-    if len(traj.times) == 0:
-        return {}
     v = traj.v_values
     suffix_max = np.maximum.accumulate(v[::-1])[::-1]
     v_start = v[0]
@@ -303,12 +301,10 @@ def _threshold_times(traj: Trajectory) -> dict[float, float]:
         return out
     mu = v_start / 2.0
     floor = float(np.min(suffix_max))
+    # suffix_max is non-increasing down to floor, so some index has
+    # suffix_max <= mu; a NaN V makes floor NaN and runs no iteration
     while mu >= floor and mu > 0:
-        idx = np.argmax(suffix_max <= mu)
-        if suffix_max[idx] <= mu:
-            out[mu] = float(traj.times[idx])
-        else:
-            break
+        out[mu] = float(traj.times[np.argmax(suffix_max <= mu)])
         mu /= 2.0
     return out
 

@@ -612,17 +612,26 @@ def _pycode(e: Expr) -> str:
         return f"_exp({_pycode(e.arg)})"
     if isinstance(e, Ln):
         return f"_log({_pycode(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_pycode(e.left)}+{_pycode(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_pycode(e.left)}-{_pycode(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_pycode(e.left)}*{_pycode(e.right)})"
-    if isinstance(e, Div):
-        return f"({_pycode(e.left)}/{_pycode(e.right)})"
+    if type(e) in _BINARY_OPS:
+        return f"({_binary_code(e)})"
     if isinstance(e, Pow):
         return f"({_pycode(e.base)}**{e.exponent})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# operator and precedence level of each binary node
+_BINARY_OPS = {Add: ("+", 0), Sub: ("-", 0), Mul: ("*", 1), Div: ("/", 1)}
+
+
+def _binary_code(e: Expr) -> str:
+    """e's code without its outer parentheses. A left operand of the same
+    precedence is left bare too: Python parses a+b-c as (a+b)-c, the same
+    tree, and a sum of many terms would otherwise nest a parenthesis per
+    term, past the 200 the tokenizer allows."""
+    op, level = _BINARY_OPS[type(e)]
+    left_level = _BINARY_OPS.get(type(e.left), (None, None))[1]
+    left = _binary_code(e.left) if left_level == level else _pycode(e.left)
+    return f"{left}{op}{_pycode(e.right)}"
 
 
 def compile_expr(e: Expr | Sequence[Expr], dim: int) -> Callable[..., float | tuple]:

@@ -113,6 +113,20 @@ def test_inconclusive_is_reported_not_raised(inert_system):
     assert "N_max" in cert.detail
 
 
+def test_drift_failure_reads_like_every_monomial():
+    """fV > 0 fails the first row, (f), of the order-1 table; the witnesses
+    are the ones recorded before it, in order."""
+    sysd = SystemDef(
+        VectorField.from_strings(["x2", "x1"], 2),
+        VectorField.from_strings(["-x2", "x1"], 2),
+        ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
+    )
+    cert = certify_point(sysd, (1.0, 1.0))
+    assert cert.case is Case.INCONCLUSIVE
+    assert list(cert.witnesses.items()) == [("gV", 0.0), ("fV", 2.0)]
+    assert cert.detail.startswith("(fV)(x) = 2.0 is not zero"), cert.detail
+
+
 def test_p4_witness_pattern(rotation3):
     cert = certify_point(rotation3, (1.0, 0.0, 0.0))
     tol = cert.tol_at_point

@@ -296,6 +296,25 @@ def test_literal_beyond_float_range_exits_one(tmp_path):
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+@pytest.mark.parametrize("f, v", [
+    # a sum of 1,500 terms: compiling V recurses once per term
+    ('["x2", "0"]', "+".join(["0.001*x1^2"] * 1500) + "+0.5*x2^2"),
+    # 2,000 parentheses: the parser recurses once per pair
+    ('["' + "(" * 2000 + "x2" + ")" * 2000 + '", "0"]', "0.5*(x1^2+x2^2)"),
+], ids=["1500-term-v", "2000-parentheses"])
+def test_expressions_nested_too_deeply_exit_one(tmp_path, f, v):
+    deep = tmp_path / "deep.sys"
+    deep.write_text(f'dim = 2\nf = {f}\ng = ["0", "1"]\nV = "{v}"\n')
+    env = dict(os.environ, PYTHONPATH=str(Path(sdstab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sdstab", "certify", "--system", str(deep), "--at", "1,0",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: an expression is nested too deeply\n", done.stderr
+
+
 _F, _G, _V = 'f = ["x2", "0"]', 'g = ["0", "1"]', 'V = "x1^2+x2^2"'
 
 

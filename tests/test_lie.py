@@ -262,8 +262,9 @@ def test_enumerate_order_one():
 def test_enumerate_order_two():
     fg = bracket_word(WORD_F, WORD_G)
     gf = bracket_word(WORD_G, WORD_F)
-    got = set(enumerate_monomial_products(2))
-    assert got == {(WORD_F,), (WORD_F, WORD_F), (fg,), (gf,)}
+    got = enumerate_monomial_products(2)
+    assert len(got) == 3
+    assert set(got) == {(WORD_F, WORD_F), (fg,), (gf,)}
 
 
 def test_enumerate_order_three_contents():
@@ -274,8 +275,39 @@ def test_enumerate_order_three_contents():
     assert (fg, WORD_F) in got
     for word in lie_words(3):
         assert (word,) in got
-    # the bare control leaf never appears as a factor
+    # the bare control leaf never appears as a factor, and no product of a
+    # lower order is listed
     assert all(WORD_G not in words for words in got)
+    assert all(sum(w.order for w in words) == 3 for words in got)
+
+
+def _up_to_order_walk(total_order):
+    """Every product of order <= total_order, depth first: the enumeration
+    before each order had its own table."""
+    words_by_order = {m: [w for w in lie_words(m) if w != WORD_G]
+                      for m in range(1, total_order + 1)}
+    results = []
+
+    def extend(prefix, remaining):
+        for m in range(1, remaining + 1):
+            for w in words_by_order[m]:
+                item = prefix + (w,)
+                results.append(item)
+                extend(item, remaining - m)
+
+    extend((), total_order)
+    return results
+
+
+def test_exact_order_table_is_the_filtered_walk():
+    sizes = {1: 1, 2: 3, 3: 13, 4: 61, 5: 313, 6: 1673}
+    for order, size in sizes.items():
+        expected = tuple(words for words in _up_to_order_walk(order)
+                         if sum(w.order for w in words) == order)
+        got = enumerate_monomial_products(order)
+        assert got == expected
+        assert len(got) == size
+        assert got[0] == (WORD_F,) * order
 
 
 def test_words_skip_structural_zeros():

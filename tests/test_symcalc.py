@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 
 from conftest import DEEP_LINEAR_TEXT
 from sdstab import symcalc
+from sdstab.cli import load_system
 from sdstab.lie import VectorField
 from sdstab.symcalc import (
     Add, Const, Cos, DomainError, Div, Exp, ExprError, Ln, Mul, Neg, ParseError,
@@ -127,6 +128,19 @@ def test_compile_raises_a_negative_constant_to_a_power():
         e = Pow(Const(value), 2)
         assert compile_expr(e, 0)() == float(value) ** 2 == evaluate(e, ())
     assert math.copysign(1.0, compile_expr(Pow(Const(-0.0), 3), 0)()) == -1.0
+
+
+def test_a_300_term_v_compiles_to_evaluate_bit_for_bit(tmp_path):
+    """A sum of many terms compiles without a parenthesis per term (Python
+    allows 200 nested ones); sums, differences, products and quotients
+    chained to the left keep evaluate()'s order of operations."""
+    terms = "".join("+0.002*x1^2-0.001*x1^2" for _ in range(150))
+    path = tmp_path / "long.sys"
+    path.write_text(f'dim = 2\nf = ["x2", "0"]\ng = ["0", "1"]\n'
+                    f'V = "x2^2/2/0.5*0.25{terms}"\n')
+    sysd = load_system(path)
+    for x in [(1.0, 0.0), (0.3, -1.7), (-2.5e-3, 4.0), (1e150, 1e-150)]:
+        assert _bits(sysd.v_at(x)) == _bits(evaluate(sysd.V.body, x))
 
 
 # --- simplification ---------------------------------------------------------------
@@ -555,6 +569,7 @@ def test_a_dropped_system_leaves_no_node_in_the_intern_table():
     script = f"""
 import gc
 from sdstab import symcalc
+from sdstab.cli import load_system
 from sdstab.certify import certify_point
 from sdstab.cli import parse_system_file
 before = set(symcalc._TABLE)
