@@ -13,8 +13,12 @@ sources and system files:
 - `sdstab step` at one point of each synthesis case: dblint 0.6,0.8
   (Transversal), dblint 1,0 (P2), planar_cubic 0.01,0 (P3) and
   rotation3 1,0,0 (P4), comparing step_program.csv;
-- `sdstab certify-grid` on rotation3 over [-1, 1]^3 at 11^3 points,
-  comparing certificates.csv;
+- `sdstab certify-grid` on rotation3 over [-1, 1]^3 at 11^3 points, and
+  with --nmax 6 at 3^3 points on a deep-linear system whose every bracket
+  monomial vanishes, so that each point reads every table up to order 6
+  (expected exit code 2: every point is inconclusive), comparing
+  certificates.csv; the deep-linear system file is written once, outside
+  both trees, and both runs read it;
 - `sdstab diagnose-m` on rotation3 at 1,0,0 with --order 4, comparing
   m_derivatives.csv, and `sdstab cbh-check` on rotation3 at 1,1,0 with
   --k 3 --t 0,0.01,0.1, comparing cbh_residuals.csv;
@@ -44,8 +48,22 @@ PARTITIONS = ("uniform:0.5", "explicit:0,0.1,0.7,0.8,2.0+0.5")
 SYSTEMS = (("dblint", "1,0", "50"), ("rotation3", "1,0,0", "100"))
 STEPS = (("dblint", "0.6,0.8"), ("dblint", "1,0"), ("planar_cubic", "0.01,0"),
          ("rotation3", "1,0,0"))
+# the first deep-linear system of the certify-deep benchmark workload at
+# seed 0: f and g rotate at constant rates that leave V constant, so every
+# Lie derivative of V vanishes
+DEEP_LINEAR = """\
+dim = 3
+w1 = "0.5"
+w2 = "1.25"
+w3 = "1.75"
+pa = "-0.3"
+qb = "-0.7"
+f = ["pa*w2*x2", "-pa*w1*x1", "0"]
+g = ["qb*w3*x3", "0", "-qb*w1*x1"]
+V = "0.5*(w1*x1^2+w2*x2^2+w3*x3^2)"
+"""
 # (label, sdstab arguments, output files compared besides stdout and stderr,
-# expected exit code)
+# expected exit code); DEEP_LINEAR_SYS stands for the path of DEEP_LINEAR's file
 RUNS = (
     tuple((f"{name} {partition} --horizon {horizon}",
            ("simulate", "--system", f"systems/{name}.sys", "--x0", x0,
@@ -60,6 +78,10 @@ RUNS = (
         ("certify-grid", "--system", "systems/rotation3.sys",
          "--box=-1:1,-1:1,-1:1", "--res", "11,11,11"),
         ("certificates.csv",), 0),
+       ("certify-grid deep-linear 3^3 --nmax 6",
+        ("certify-grid", "--system", "DEEP_LINEAR_SYS", "--box=-1:1,-1:1,-1:1",
+         "--res", "3,3,3", "--nmax", "6"),
+        ("certificates.csv",), 2),
        ("diagnose-m rotation3 --at 1,0,0 --order 4",
         ("diagnose-m", "--system", "systems/rotation3.sys", "--at", "1,0,0",
          "--order", "4"),
@@ -109,7 +131,10 @@ def _first_difference(a: bytes, b: bytes) -> str:
 
 def compare(base: Path, scratch: Path) -> bool:
     same = True
+    deep_linear = scratch / "deep-linear.sys"
+    deep_linear.write_text(DEEP_LINEAR, encoding="utf-8")
     for index, (label, args, compared, code) in enumerate(RUNS):
+        args = tuple(str(deep_linear) if a == "DEEP_LINEAR_SYS" else a for a in args)
         outs = {side: scratch / side / f"run{index}" for side in ("base", "work")}
         procs = {"base": _start(base, outs["base"], args),
                  "work": _start(ROOT, outs["work"], args)}

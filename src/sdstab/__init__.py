@@ -12,7 +12,7 @@ from .symcalc import (
 from .lie import (
     LieWord, ScalarField, VectorField, WORD_F, WORD_G,
     bracket_word, directional_derivative, enumerate_monomial_products,
-    iterated_adjoint, lie_bracket, lie_words,
+    iterated_adjoint, lie_bracket,
 )
 from .certify import (
     Case, Certificate, GridEntry, SystemDef, certify_grid, certify_point,

@@ -10,7 +10,10 @@ with candidate function V:
   total order <= N vanish at x, and one signed/nonzero condition on
   f^{N+1}V or an N-fold adjoint bracket holds (P1 > P2 > P3 > P4 at the
   smallest qualifying N). The vanishing check at order i reads the table
-  lie.enumerate_monomial_products(i), whose first row is f^i V.
+  lie.enumerate_monomial_products(i), whose first row is f^i V: the
+  2^(i-1) Poincare-Birkhoff-Witt products that span every bracket
+  monomial of order i (see the lie module for the argument and its
+  tolerance caveat), 15, 31 and 63 rows up to orders 4, 5 and 6.
 * Inconclusive      -- none of the above up to N_max. This is a
   first-class outcome: the conditions are sufficient, not necessary.
 
@@ -52,10 +55,9 @@ __all__ = [
 
 DEFAULT_TAU_ZERO = 1e-9
 DEFAULT_N_MAX = 4
-# the bracket monomials up to order N number 78, 391 and 2,064 for
-# N = 4, 5, 6, and cold certification cost grows about fivefold per order:
-# 0.010, 0.052 and 0.26 s for a point of a 3-d system where all of them
-# vanish (2-core host)
+# the table rows up to order N number 15, 31 and 63 for N = 4, 5, 6; the
+# first point of a 3-d system where all of them vanish costs 3-5, 5-7 and
+# 7-12 ms there, a later point 0.1-0.2, 0.2-0.3 and 0.3-0.5 ms (2-core host)
 N_MAX_LIMIT = 6
 
 
@@ -83,8 +85,8 @@ class SystemDef:
     V: ScalarField
     # the scalar fields of bracket monomials (keyed by ("scalar", word
     # tuple)) and realized bracket words (keyed by word). The first point at
-    # n_max 5 where every monomial vanishes builds 395 scalars and 216 word
-    # fields in 0.052 s (2-core host); later points only evaluate.
+    # n_max 5 where every monomial vanishes builds 39 scalars and 20 word
+    # fields in about 6 ms (2-core host); later points only evaluate.
     _fns: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -262,10 +264,10 @@ def certify_point(
         return Certificate(Case.ARTSTEIN_SONTAG, 0, witnesses, tau_zero, tol)
 
     for N in range(1, n_max + 1):
-        # vanishing conditions, incremental in N: the bracket monomials of
-        # total order exactly N, led by f^N V, which is already a witness; a
-        # failure here persists for every larger N, so the whole branch is
-        # then settled.
+        # vanishing conditions, incremental in N: the table spanning the
+        # bracket monomials of total order exactly N, led by f^N V, which is
+        # already a witness; a failure here persists for every larger N, so
+        # the whole branch is then settled.
         for words in enumerate_monomial_products(N):
             v = value(words)
             if abs(v) > tol:

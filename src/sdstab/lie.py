@@ -10,6 +10,19 @@ upper bound for the span-layer order of the monomial it denotes (a
 degenerate monomial can land in a lower layer), so order-bounded checks
 performed over these words are at worst stricter than necessary, never
 unsound.
+
+Certification needs D_1...D_k V(x) = 0 for every product of bracket words
+D_i other than the bare g, of total order N. Those products lie in the
+enveloping algebra of span(f) + [L, L], L the free Lie algebra on f and g.
+The standard bracketings of the Lyndon words over f < g other than g are a
+basis of that subalgebra (Chen-Fox-Lyndon 1958; Reutenauer, Free Lie
+Algebras, 1993), so by Poincare-Birkhoff-Witt their non-increasing
+products of order N, 2^(N-1) of them, span every such product with
+integer coefficients: checking them decides the vanishing condition in
+exact arithmetic. In floating point, another product sum c_i P_i is only
+bounded by sum |c_i| tol when every P_i V(x) is within tol, so a point
+near the tolerance boundary could change case against a check of every
+product.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from .symcalc import (
 
 __all__ = [
     "ScalarField", "VectorField", "LieWord", "WORD_F", "WORD_G",
-    "bracket_word", "lie_words", "enumerate_monomial_products",
+    "bracket_word", "enumerate_monomial_products",
     "directional_derivative", "lie_bracket", "iterated_adjoint",
 ]
 
@@ -195,37 +208,53 @@ def bracket_word(left: LieWord, right: LieWord) -> LieWord:
     return LieWord(left=left, right=right)
 
 
-@lru_cache(maxsize=None)
-def lie_words(order: int) -> tuple[LieWord, ...]:
-    """All structurally distinct bracket words of the given leaf count.
+def _lyndon_words(n: int) -> set[str]:
+    """The Lyndon words over f < g of length at most n, by Duval's
+    algorithm: a word is extended periodically to length n, its trailing
+    g's dropped and its last letter raised."""
+    out = set()
+    w = "f"
+    while w:
+        out.add(w)
+        w = (w * n)[:n].rstrip("g")
+        w = w and w[:-1] + "g"
+    return out
 
-    Words with two identical children anywhere ([w,w]) are identically the
-    zero field and are skipped, so every returned word can be nonzero.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order == 1:
-        return (WORD_F, WORD_G)
-    out = []
-    for split in range(1, order):
-        for a in lie_words(split):
-            for b in lie_words(order - split):
-                if a == b:
-                    continue
-                out.append(bracket_word(a, b))
-    return tuple(out)
+
+def _standard_bracketing(w: str, lyndon: set[str]) -> LieWord:
+    """[u, v] for the Lyndon word w = uv, v its longest proper Lyndon suffix."""
+    if len(w) == 1:
+        return WORD_F if w == "f" else WORD_G
+    split = next(i for i in range(1, len(w)) if w[i:] in lyndon)
+    return bracket_word(_standard_bracketing(w[:split], lyndon),
+                        _standard_bracketing(w[split:], lyndon))
+
+
+def _tree_key(w: LieWord) -> tuple:
+    """The order in which the table lists words of one leaf count: f
+    before g, brackets lexicographic in (left order, left, right). Over all
+    bracket trees it orders the table of every product (tests/conftest.py),
+    so wherever that table's first non-vanishing row is a row here too,
+    both name the same one."""
+    if w.leaf is not None:
+        return (w.leaf,)
+    return (w.left.order, _tree_key(w.left), _tree_key(w.right))
 
 
 def enumerate_monomial_products(order: int) -> tuple[tuple[LieWord, ...], ...]:
-    """Ordered tuples (D_1, ..., D_k), k >= 1, of bracket words excluding
-    the bare 'g' leaf, with total order exactly ``order``: 1, 3, 13, 61, 313
-    and 1,673 tuples for orders 1..6. They run lexicographically in
-    (word order, index in lie_words) at each position, so the first is
-    (f, ..., f). Each order's table is built once per process.
+    """The products (D_1, ..., D_k), k >= 1, of total order exactly
+    ``order`` that certification checks: 1, 2, 4, 8, 16 and 32 tuples for
+    orders 1..6. Each D_i is the standard bracketing of a Lyndon word over
+    f < g other than g (1, 1, 2, 3, 6 and 9 words of lengths 1..6), and the
+    keys (length, Lyndon word) do not increase from D_1 to D_k; by
+    Poincare-Birkhoff-Witt (see the module docstring) these span every
+    product of bracket words other than g of that order, up to the
+    tolerance caveat stated there.
 
-    Duplicates are removed only up to leaf-tree isomorphism; words related
-    by antisymmetry or Jacobi identities are kept (redundant checks cost
-    time, not correctness).
+    Tuples run lexicographically in (word order, ``_tree_key``) at each
+    position, so the first is (f, ..., f); the first one that does not
+    vanish names an Inconclusive certificate's detail. Each order's table
+    is built once per process.
     """
     if order < 1:
         raise ValueError(f"total order must be >= 1, got {order}")
@@ -234,13 +263,18 @@ def enumerate_monomial_products(order: int) -> tuple[tuple[LieWord, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _products_of_order(order: int) -> tuple[tuple[LieWord, ...], ...]:
-    out: list[tuple[LieWord, ...]] = []
-    for m in range(1, order + 1):
-        for w in lie_words(m):
-            if w == WORD_G:
-                continue
-            if m == order:
-                out.append((w,))
-            else:
-                out.extend((w,) + rest for rest in _products_of_order(order - m))
-    return tuple(out)
+    lyndon = _lyndon_words(order)
+    basis = {_standard_bracketing(w, lyndon): (len(w), w)
+             for w in sorted(lyndon) if w != "g"}
+
+    def products(left, cap):
+        # the non-increasing products of total order `left` whose keys are
+        # at most cap
+        if left == 0:
+            yield ()
+        for w, key in basis.items():
+            if key[0] <= left and key <= cap:
+                yield from ((w,) + rest for rest in products(left - key[0], key))
+
+    return tuple(sorted(products(order, (order + 1, "")),
+                        key=lambda words: [(w.order, _tree_key(w)) for w in words]))

@@ -1,13 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from sdstab import SystemDef
-from sdstab.lie import ScalarField, VectorField
+from sdstab.lie import ScalarField, VectorField, WORD_F, WORD_G, bracket_word
 from sdstab.symcalc import Const, Var, Mul
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
+PERFBENCH_DIR = SYSTEMS_DIR.parent / "perfbench"
 
 # the first deep-linear system of the certify-deep benchmark workload at seed
 # 0: f and g rotate at constant rates that leave V constant, so every Lie
@@ -149,3 +153,40 @@ def random_poly_field(rng, dim, **kw):
 
 def random_point(rng, dim, scale=1.0):
     return rng.uniform(-scale, scale, size=dim)
+
+
+def workload_system_text(rng, family):
+    """A 3-d system text of the ``certify-deep`` benchmark workload:
+    ``certify_system_text`` of perfbench/workloads.py, for the family
+    "deep-linear" or "shallow"."""
+    if str(PERFBENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH_DIR))
+    import workloads
+    return workloads.certify_system_text(rng, family)
+
+
+# --- every bracket tree (reference for certification's PBW table) ---------------
+
+@lru_cache(maxsize=None)
+def bracket_trees(order):
+    """Every bracket word of the given leaf count with no [w, w] anywhere
+    (such a word is identically zero), lexicographic in (left order, left,
+    right) with f before g."""
+    if order == 1:
+        return (WORD_F, WORD_G)
+    return tuple(bracket_word(a, b) for split in range(1, order)
+                 for a in bracket_trees(split) for b in bracket_trees(order - split)
+                 if a != b)
+
+
+@lru_cache(maxsize=None)
+def all_trees_table(order):
+    """Every product of bracket trees other than g of total order exactly
+    ``order``, lexicographic in (word order, index in bracket_trees) at each
+    position: 1, 3, 13, 61, 313 and 1,673 tuples for orders 1..6, the table
+    certification checked before it kept only the PBW products."""
+    if order == 0:
+        return ((),)
+    return tuple((w,) + rest for m in range(1, order + 1)
+                 for w in bracket_trees(m) if w != WORD_G
+                 for rest in all_trees_table(order - m))

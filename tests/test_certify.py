@@ -1,9 +1,15 @@
+import random
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from conftest import DEEP_LINEAR_TEXT, SYSTEMS_DIR
+from conftest import (
+    DEEP_LINEAR_TEXT, SYSTEMS_DIR, all_trees_table, bracket_trees, random_poly_field,
+    workload_system_text,
+)
 from sdstab import certify, lie, symcalc
 from sdstab.certify import (
     Case, N_MAX_LIMIT, SystemDef, _monomial_scalar, _word_field, certify_grid,
@@ -12,7 +18,6 @@ from sdstab.certify import (
 from sdstab.cli import load_system, parse_system_file
 from sdstab.lie import (
     LieWord, ScalarField, VectorField, directional_derivative, iterated_adjoint,
-    lie_words,
 )
 from sdstab.symcalc import compile_expr, evaluate
 from sdstab.synth import ControlProgram, flow_endpoint
@@ -276,7 +281,7 @@ def test_system_rejects_nonpositive_v():
 SYSTEM_TEXTS = {name: (SYSTEMS_DIR / f"{name}.sys").read_text(encoding="utf-8")
                 for name in ("dblint", "planar_cubic", "rotation3")}
 SYSTEM_TEXTS["deep-linear"] = DEEP_LINEAR_TEXT
-WORDS_UP_TO_4 = [w for m in range(1, 5) for w in lie_words(m)]
+WORDS_UP_TO_4 = [w for m in range(1, 5) for w in bracket_trees(m)]
 
 
 @st.composite
@@ -312,6 +317,65 @@ def test_shared_suffixes_match_uncached_chains(name, batch):
             assert _word_field(cached, w) == _word_field(fresh, w)
 
 
+def _chain_text(rng):
+    """A 3-d system f = (a x2^p, b x3^q, c x1 x2), g = e3 with V = |x|^2/2:
+    on the x1 axis its low-order monomials vanish, and certification reads
+    the deeper tables."""
+    p, q = rng.randint(1, 3), rng.randint(1, 3)
+    a, b, c = (rng.choice(("-", "")) + rng.choice(("0.5", "1", "1.5")) for _ in range(3))
+    return (f'dim = 3\nf = ["{a}*x2^{p}", "{b}*x3^{q}", "{c}*x1*x2"]\n'
+            'g = ["0", "0", "1"]\nV = "0.5*(x1^2+x2^2+x3^2)"\n')
+
+
+@lru_cache(maxsize=None)
+def _differential_systems():
+    """The bundled systems and one deep-linear and three shallow systems of
+    the certify-deep benchmark workload, then three random polynomial 3-d
+    systems with g = e3 and four chains."""
+    text_rng, rng = random.Random(43), np.random.default_rng(43)
+    systems = [load_system(SYSTEMS_DIR / f"{name}.sys")
+               for name in ("dblint", "planar_cubic", "rotation3")]
+    systems += [parse_system_file(workload_system_text(text_rng, family)).build()
+                for family in ("deep-linear", "shallow", "shallow", "shallow")]
+    systems += [SystemDef(random_poly_field(rng, 3, n_terms=3, max_degree=3),
+                          VectorField.from_strings(["0", "0", "1"], 3),
+                          ScalarField.from_string("0.5*(x1^2+2*x2^2+x3^2)", 3))
+                for _ in range(3)]
+    systems += [parse_system_file(_chain_text(text_rng)).build() for _ in range(4)]
+    return tuple(systems)
+
+
+RANDOM_SYSTEMS_FROM = 7
+PBW_LABELS = {"".join(w.label() for w in words)
+              for order in range(1, N_MAX_LIMIT + 1)
+              for words in lie.enumerate_monomial_products(order)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, 13),
+       coords=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       zeros=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_pbw_table_certifies_like_every_product(index, coords, zeros):
+    """At n_max 6, certifying from the PBW table and from the table of
+    every product of bracket trees gives the same case, N and witnesses.
+    Coordinates are zeroed at random, so that gV and low-order monomials
+    vanish and deeper tables are read. The details agree on the bundled
+    and benchmark systems; elsewhere they differ only where the all-trees
+    table meets a non-vanishing product outside the PBW table first."""
+    sysd = _differential_systems()[index]
+    x = [0.0 if zero else c for c, zero in zip(coords, zeros)][:sysd.dim]
+    assume(np.linalg.norm(x) > 1e-6)
+    pbw = certify_point(sysd, x, n_max=6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "enumerate_monomial_products", all_trees_table)
+        every = certify_point(sysd, x, n_max=6)
+    assert (pbw.case, pbw.N, pbw.witnesses) == (every.case, every.N, every.witnesses)
+    outside = (every.detail.startswith("(")
+               and every.detail[1:every.detail.index("V)(x)")] not in PBW_LABELS)
+    if index < RANDOM_SYSTEMS_FROM or not outside:
+        assert pbw.detail == every.detail
+
+
 def test_a_loaded_system_compiles_v_and_f_once(monkeypatch):
     """Loading a system compiles V; its first run through the RK kernel
     compiles F and reuses V, so v_at and the kernel share one function."""
@@ -332,9 +396,10 @@ def test_a_loaded_system_compiles_v_and_f_once(monkeypatch):
 
 def test_certification_builds_each_derivative_once(monkeypatch):
     """On the deep-linear system a point at n_max 5 goes through every
-    bracket monomial: each one is built once from the scalar of its suffix,
-    and each gradient and Jacobian is differentiated once. The adjoint
-    words ad_g^N(f) and ad_f^N(g) are built at import, not per call."""
+    row of the tables up to order 5: each one is built once from the scalar
+    of its suffix, and each gradient and Jacobian is differentiated once.
+    The adjoint words ad_g^N(f) and ad_f^N(g) are built at import, not per
+    call."""
     sysd = parse_system_file(DEEP_LINEAR_TEXT).build()
     calls = {"directional_derivative": 0, "differentiate": 0, "bracket_word": 0}
 
@@ -351,13 +416,14 @@ def test_certification_builds_each_derivative_once(monkeypatch):
     counting(certify, "bracket_word")
     cert = certify_point(sysd, (0.6, -0.8, 0.5), n_max=5)
     assert cert.case is Case.INCONCLUSIVE
-    # the 391 monomials of order <= 5 and gV, f^6V, ad_g^5(f)V, ad_f^5(g)V
-    assert calls == {"directional_derivative": 395, "differentiate": 672,
+    # the 31 table rows of order <= 5 and gV, f^6V, ad_g^5(f)V and the
+    # ad_f^N(g)V of N = 1..5, which are not table rows
+    assert calls == {"directional_derivative": 39, "differentiate": 141,
                      "bracket_word": 0}
     scalars = [v for k, v in sysd._fns.items()
                if isinstance(k, tuple) and k[0] == "scalar"]
     fields = [v for k, v in sysd._fns.items() if isinstance(k, LieWord)]
-    assert len(scalars) == 395
+    assert len(scalars) == 39
     gradients = sum("gradient" in vars(s) for s in [sysd.V, *scalars])
     jacobians = sum("jacobian" in vars(f) for f in fields)
     assert calls["differentiate"] == 3 * gradients + 9 * jacobians
