@@ -31,13 +31,22 @@ and the stdout and stderr of each. Every run has an expected exit code, 0
 unless stated; a run that exits with another code counts as failed. The
 base and working-tree runs of one command run side by side, one process
 each. Prints one line per command and exits 1 if any output differs or any
-run fails.
+run fails. A differing output is named with its first difference; for a
+CSV file or report.json the line also gives the largest absolute and
+relative difference between numbers at the same place in both files, and
+where each occurs. A difference is taken relative to the largest magnitude
+of its field (a CSV column, or a report.json key with its list indices
+dropped) in either file, so that a state component passing through zero
+is measured against the scale of that component.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -129,6 +138,61 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} vs {len(lines_b)} lines"
 
 
+def _csv_rows(data: bytes) -> list[dict[str, str]]:
+    """The rows of a CSV file, each keyed by column name."""
+    header, *rows = data.decode().splitlines()
+    names = header.split(",")
+    return [dict(zip(names, row.split(","))) for row in rows]
+
+
+def _number_pairs(a, b, where: str = ""):
+    """(place, x, y) for every pair of finite numbers at the same place in
+    two parsed outputs: under the same key, at the same list index, or two
+    strings that both read as numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() & b.keys():
+            yield from _number_pairs(a[key], b[key], f"{where} {key}".strip())
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _number_pairs(x, y, f"{where}[{i}]")
+    else:
+        try:
+            x, y = float(a), float(b)
+        except (TypeError, ValueError):
+            return
+        if not isinstance(a, bool) and math.isfinite(x) and math.isfinite(y):
+            yield where, x, y
+
+
+def _largest_difference(name: str, a: bytes, b: bytes) -> str | None:
+    """The largest absolute and relative difference between the numbers of
+    two versions of a CSV file or report.json, with where each occurs; None
+    for other outputs. A place in a CSV file reads [i] column, the data
+    rows counted from 0 (file line i + 2); the relative difference of x and
+    y is |x - y| over the largest magnitude of their field in either file
+    (see the module docstring)."""
+    if name.endswith(".csv"):
+        pairs = list(_number_pairs(_csv_rows(a), _csv_rows(b)))
+    elif name == "report.json":
+        pairs = list(_number_pairs(json.loads(a), json.loads(b)))
+    else:
+        return None
+    fields = [re.sub(r"\[\d+\]", "", where) for where, _, _ in pairs]
+    scale: dict[str, float] = {}
+    for field, (_, x, y) in zip(fields, pairs):
+        scale[field] = max(scale.get(field, 0.0), abs(x), abs(y))
+    largest = {"absolute": (0.0, ""), "relative": (0.0, "")}
+    for field, (where, x, y) in zip(fields, pairs):
+        if x == y:
+            continue
+        d = abs(x - y)
+        for kind, value in (("absolute", d), ("relative", d / scale[field])):
+            if value > largest[kind][0]:
+                largest[kind] = (value, where)
+    return "; largest difference " + ", ".join(
+        f"{value:.3g} {kind} ({where})" for kind, (value, where) in largest.items())
+
+
 def compare(base: Path, scratch: Path) -> bool:
     same = True
     deep_linear = scratch / "deep-linear.sys"
@@ -152,8 +216,9 @@ def compare(base: Path, scratch: Path) -> bool:
         if differing:
             same = False
             for f in differing:
-                print(f"{label}: {f} DIFFERS at "
-                      f"{_first_difference(results['base'][f], results['work'][f])}")
+                a, b = results["base"][f], results["work"][f]
+                print(f"{label}: {f} DIFFERS at {_first_difference(a, b)}"
+                      f"{_largest_difference(f, a, b) or ''}")
         else:
             sizes = ", ".join(f"{f} {len(v)} B" for f, v in results["work"].items())
             print(f"{label}: identical ({sizes})")

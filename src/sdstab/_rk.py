@@ -25,8 +25,13 @@ multiply-add), so the step is bit-identical to the same step written on
 numpy arrays.
 
 States are tuples of floats, and stay tuples up to the closed loop's
-``Trajectory``: each sample is a (t, y, V(y)) triple carrying the V computed
-at the end of the step that reached y, so no caller evaluates V there again.
+``Trajectory``. A segment hands back its accepted steps, each with its
+stages, and its end state with the V computed at the end of the step that
+reached it, so no caller evaluates V there again. No step lands on a sample
+time: the step size follows the error control alone, and a state between
+steps, such as one of the closed loop's samples, is read from the same
+continuous extension by a third generated function, at the cost of one V
+evaluation and no evaluation of the right-hand side (``_dense_samples``).
 Segments have positive durations. A domain error of F or V (a division by
 zero, an overflowing exp) becomes an IntegrationError.
 """
@@ -41,6 +46,9 @@ __all__ = ["IntegrationError", "integrate_segment"]
 # F(x1, ..., xn, u) -> (ydot_1, ..., ydot_n) and V(x1, ..., xn)
 Field = Callable[..., Sequence[float]]
 Scalar = Callable[..., float]
+# an accepted step (t, h, y, (k1, k3, k4, k5, k6, k7)): start time, size,
+# start state and stages
+Step = tuple[float, float, tuple[float, ...], tuple[tuple[float, ...], ...]]
 
 
 class IntegrationError(RuntimeError):
@@ -59,23 +67,28 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+# the continuous extension's weights of k1, k3..k7 at theta are
+# theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))), one row of
+# (c1, c2, c3, c4) per stage; these are scipy's RK45 coefficients
+_DENSE_ROWS = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+
+
 def _dense_weights(theta: float) -> tuple[float, ...]:
     """Weights of k1, k3..k7 in the continuous extension at theta: the state
-    is y + h * sum(w * k). These are scipy's RK45 coefficients; at theta = 1
-    they reduce to _B1.._B6 with k7 weighted 0."""
-    rows = (
-        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-         -12715105075 / 11282082432),
-        (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-         87487479700 / 32700410799),
-        (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-         -10690763975 / 1880347072),
-        (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-         701980252875 / 199316789632),
-        (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-        (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+    is y + h * sum(w * k). At theta = 1 they reduce to _B1.._B6 with k7
+    weighted 0."""
     return tuple(theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
-                 for c1, c2, c3, c4 in rows)
+                 for c1, c2, c3, c4 in _DENSE_ROWS)
 
 
 # sub-grid intervals per segment of the continuous-extension check
@@ -105,7 +118,8 @@ _DENSE_STAGES = (1, 3, 4, 5, 6, 7)
 
 
 def _kernel_source(n: int) -> str:
-    """Source of ``step`` and ``dense_vmax`` for states of n components.
+    """Source of ``step``, ``dense_vmax`` and ``dense_state`` for states of
+    n components.
 
     step(F, u, y, h, k1, atol, rtol) -> (y_new, err, (k1, k3, k4, k5, k6, k7)):
     one step of size h from y, given k1 = F(*y, u), where err is
@@ -115,6 +129,10 @@ def _kernel_source(n: int) -> str:
     dense_vmax(V, y, h, ks, rows, m): the maximum of m and V at the
     continuous-extension states y + h * (w1 k1 + w3 k3 + ... + w7 k7) of
     the step's stages ks, one state per row of weights; a NaN V is skipped.
+
+    dense_state(y, h, ks, theta): the continuous-extension state at theta,
+    with _dense_weights(theta) written inline, so that at theta = j/m it is
+    the state dense_vmax checks there, bit for bit.
     """
     idx = range(1, n + 1)
 
@@ -155,19 +173,27 @@ def _kernel_source(n: int) -> str:
               f"        v = V({state('y', ['w1', 'w3', 'w4', 'w5', 'w6', 'w7'], _DENSE_STAGES)})",
               "        if v > m:",
               "            m = v",
-              "    return m"]
+              "    return m",
+              "",
+              "def dense_state(y, h, ks, theta):",
+              f"    {names('y{}')}= y",
+              "    " + ", ".join(f"({names(f'k{s}_{{}}')})" for s in _DENSE_STAGES) + " = ks"]
+    for s, (c1, c2, c3, c4) in zip(_DENSE_STAGES, _DENSE_ROWS):
+        lines.append(f"    w{s} = theta * ({c1!r} + theta * ({c2!r} + theta * ({c3!r}"
+                     f" + theta * {c4!r})))")
+    lines.append(f"    return ({state('y', ['w1', 'w3', 'w4', 'w5', 'w6', 'w7'], _DENSE_STAGES)},)")
     return "\n".join(lines) + "\n"
 
 
 class _ByDimension(dict):
-    """The generated (step, dense_vmax) of each state dimension, compiled on
-    first use."""
+    """The generated (step, dense_vmax, dense_state) of each state dimension,
+    compiled on first use."""
 
     def __missing__(self, n: int):
         namespace = {"_nan": math.nan}
         exec(compile(_kernel_source(n), f"<dormand-prince n={n}>", "exec"), namespace)
-        pair = self[n] = namespace["step"], namespace["dense_vmax"]
-        return pair
+        fns = self[n] = namespace["step"], namespace["dense_vmax"], namespace["dense_state"]
+        return fns
 
 
 _KERNELS = _ByDimension()
@@ -200,38 +226,34 @@ def integrate_segment(
         tol: float,
         v: Scalar,
         v_max: float,
-        sample_dt: float | None = None,
         on_step: Callable[[float, tuple[float, ...]], None] | None = None,
         v_limit: float = math.inf,
-) -> tuple[list[tuple[float, tuple[float, ...], float]], float]:
+) -> tuple[list[Step], tuple[tuple[float, ...], float] | None, float]:
     """Integrate ydot = field(*y, u) over [0, duration], duration positive,
     tracking the maximum of V = ``v``(x1, ..., xn) along the way.
 
-    Steps land exactly on every multiple of ``sample_dt`` inside the segment
-    (none by default) and on its end. Returns (samples, v_max): samples are
-    the (t, y, V(y)) triples at those times, the start excluded, y the
-    kernel's tuple of floats and V(y) the value computed at the end of the
-    step that reached y (a time reached within roundoff, with no new step,
-    evaluates V once there). ``on_step(t, y)`` is invoked at the start and
-    at every accepted step. The returned v_max is the largest of the
-    ``v_max`` passed in and V(*y) on the continuous extension inside every
-    accepted step (see the module docstring) and at its end, NaN values
-    skipped: states never more than duration/16 apart in time. Once v_max
-    exceeds ``v_limit`` the integration stops, returning the samples so far,
-    at the end of the accepted step that passed it: before that step's
-    ``on_step`` when one of its extension states did, after it when its end
-    state did. Raises IntegrationError once a component exceeds 1e6 in
-    magnitude, and in place of a ZeroDivisionError, ValueError or
-    OverflowError raised by F or V.
+    Returns (steps, end, v_max). ``steps`` are the accepted steps in order,
+    each (t, h, y, ks): its start time and state, its size and its stages
+    (k1, k3, ..., k7), from which ``_dense_samples`` reads states inside it.
+    ``end`` is (y, V(y)) at ``duration``, y the kernel's tuple of floats and
+    V(y) the value computed at the end of the step that reached it (an end
+    reached within roundoff, with no new step, evaluates V once there).
+    ``on_step(t, y)`` is invoked at the start and at every accepted step.
+    The returned v_max is the largest of the ``v_max`` passed in and V(*y)
+    on the continuous extension inside every accepted step (see the module
+    docstring) and at its end, NaN values skipped: states never more than
+    duration/16 apart in time. Once v_max exceeds ``v_limit`` the
+    integration stops, with ``end`` None, at the end of the accepted step
+    that passed it: before that step's ``on_step`` when one of its
+    extension states did, after it when its end state did. Raises
+    IntegrationError once a component exceeds 1e6 in magnitude, and in
+    place of a ZeroDivisionError, ValueError or OverflowError raised by F
+    or V.
     """
     _check_positive("segment duration", duration)
     _check_positive("tolerance", tol)
     y = tuple(map(float, y0))
-    grid = []
-    if sample_dt is not None and 0 < sample_dt < duration:
-        grid = [j * sample_dt for j in range(1, int(duration / sample_dt) + 1)]
-    targets = [s for s in grid if s < duration * (1 - 1e-12)] + [duration]
-    samples = []
+    steps = []
     if on_step is not None:
         on_step(0.0, y)
 
@@ -239,26 +261,22 @@ def integrate_segment(
     atol = tol * 1e-2
     h = duration / 50.0
     t = 0.0
-    target_idx = 0
     dense_vmax = _KERNELS[len(y)][1]
     try:
         k1 = field(*y, u)
     except _DOMAIN_ERRORS as exc:
         raise IntegrationError(f"right-hand side failed at start: {exc}") from exc
 
-    while target_idx < len(targets):
-        target = targets[target_idx]
-        gap = target - t
+    while True:
+        gap = duration - t
         if gap <= 1e-14 * max(1.0, abs(t)):
-            # arrived within roundoff of the target; the state is the
-            # target state to machine precision
+            # arrived within roundoff of the end; the state is the end
+            # state to machine precision
             try:
-                samples.append((target, y, v(*y)))
+                v_end = v(*y)
             except _DOMAIN_ERRORS as exc:
                 raise IntegrationError(f"V failed at t = {t}: {exc}") from exc
-            t = target
-            target_idx += 1
-            continue
+            break
         h = min(h, gap)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t = {t}")
@@ -278,7 +296,8 @@ def integrate_segment(
                     raise IntegrationError(
                         f"V failed inside the step from t = {t}: {exc}") from exc
                 if v_max > v_limit:
-                    return samples, v_max
+                    return steps, None, v_max
+            steps.append((t, h, y, ks))
             t += h
             y = y_new
             k1 = ks[-1]
@@ -291,17 +310,44 @@ def integrate_segment(
             if v_end > v_max:
                 v_max = v_end
                 if v_max > v_limit:
-                    return samples, v_max
+                    return steps, None, v_max
             if max(map(abs, y)) > _DIVERGENCE_BOUND:
                 raise IntegrationError(
                     f"state norm exceeded divergence bound {_DIVERGENCE_BOUND} at t = {t}")
-            if t >= target:
-                samples.append((target, y, v_end))
-                t = target
-                target_idx += 1
+            if t >= duration:
+                break
             factor = _SAFETY * (h / max(err_norm, 1e-300)) ** 0.25
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         else:
             factor = _SAFETY * (h / err_norm) ** 0.25
             h *= max(_MIN_FACTOR, min(1.0, factor))
-    return samples, v_max
+    return steps, (y, v_end), v_max
+
+
+def _dense_samples(v: Scalar, steps: Sequence[Step], y0: tuple[float, ...],
+                   duration: float, dt: float) -> list[tuple[float, tuple[float, ...], float]]:
+    """The (s, y, V(y)) triples at every multiple s of dt > 0 inside a
+    segment of the given duration that integrate_segment integrated from y0
+    in the accepted ``steps``, none within a relative 1e-12 of the end. Each
+    y is read from the continuous extension of the step that holds s (y0
+    when the segment took no step), so no step lands on the grid and no
+    right-hand side is evaluated. A domain error of V becomes an
+    IntegrationError."""
+    out = []
+    dense_state = _KERNELS[len(y0)][2]
+    k, last = 0, len(steps) - 1
+    for j in range(1, int(duration / dt) + 1):
+        s = j * dt
+        if not s < duration * (1 - 1e-12):
+            break
+        y = y0
+        if steps:
+            while k < last and steps[k][0] + steps[k][1] < s:
+                k += 1
+            t, h, y_step, ks = steps[k]
+            y = dense_state(y_step, h, ks, (s - t) / h)
+        try:
+            out.append((s, y, v(*y)))
+        except _DOMAIN_ERRORS as exc:
+            raise IntegrationError(f"V failed at t = {s}: {exc}") from exc
+    return out

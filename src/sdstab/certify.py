@@ -10,10 +10,11 @@ with candidate function V:
   total order <= N vanish at x, and one signed/nonzero condition on
   f^{N+1}V or an N-fold adjoint bracket holds (P1 > P2 > P3 > P4 at the
   smallest qualifying N). The vanishing check at order i reads the table
-  lie.enumerate_monomial_products(i), whose first row is f^i V: the
-  2^(i-1) Poincare-Birkhoff-Witt products that span every bracket
-  monomial of order i (see the lie module for the argument and its
-  tolerance caveat), 15, 31 and 63 rows up to orders 4, 5 and 6.
+  lie.enumerate_monomial_products(i): the 2^(i-1)
+  Poincare-Birkhoff-Witt products that span every bracket monomial of
+  order i (see the lie module for the argument and its tolerance
+  caveat), 15, 31 and 63 rows up to orders 4, 5 and 6. Its first row,
+  (f, ..., f), is the witness fV or f^i V already evaluated.
 * Inconclusive      -- none of the above up to N_max. This is a
   first-class outcome: the conditions are sufficient, not necessary.
 
@@ -263,13 +264,15 @@ def certify_point(
     if fv < -tol:
         return Certificate(Case.ARTSTEIN_SONTAG, 0, witnesses, tau_zero, tol)
 
+    fn = fv  # f^N V
     for N in range(1, n_max + 1):
         # vanishing conditions, incremental in N: the table spanning the
-        # bracket monomials of total order exactly N, led by f^N V, which is
-        # already a witness; a failure here persists for every larger N, so
-        # the whole branch is then settled.
-        for words in enumerate_monomial_products(N):
-            v = value(words)
+        # bracket monomials of total order exactly N, led by (f, ..., f),
+        # whose value f^N V is already a witness (fV, or f^N V of order
+        # N - 1); a failure here persists for every larger N, so the whole
+        # branch is then settled.
+        for i, words in enumerate(enumerate_monomial_products(N)):
+            v = value(words) if i else fn
             if abs(v) > tol:
                 name = "".join(w.label() for w in words)
                 return Certificate(
@@ -278,8 +281,8 @@ def certify_point(
 
         adg_word, adf_word = _ADJOINT_WORDS[N]
         name = f"f^{N + 1}V"
-        fn1 = witnesses[name] = value((WORD_F,) * (N + 1), name)
-        if fn1 < -tol:
+        fn = witnesses[name] = value((WORD_F,) * (N + 1), name)
+        if fn < -tol:
             return Certificate(Case.P1, N, witnesses, tau_zero, tol)
         name = f"ad_g^{N}(f)V"
         adg = witnesses[name] = value((adg_word,), name)
@@ -287,7 +290,7 @@ def certify_point(
             return Certificate(Case.P2, N, witnesses, tau_zero, tol)
         if N % 2 == 0 and adg < -tol:
             return Certificate(Case.P3, N, witnesses, tau_zero, tol)
-        if abs(fn1) <= tol:
+        if abs(fn) <= tol:
             name = f"ad_f^{N}(g)V"
             adf = witnesses[name] = value((adf_word,), name)
             if abs(adf) > tol:

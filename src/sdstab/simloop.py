@@ -3,15 +3,20 @@
 The loop takes an arbitrary sampling partition T1 = 0 < T2 < ... and, on
 each interval [T_i, T_{i+1}), builds the control from the state measured
 at T_i alone: starting from that measurement it chains verified one-step
-programs on model-predicted states (the model and the plant coincide
-here), then integrates the plant through the resulting schedule. Chain
-boundaries where a program ran to completion are recorded as checkpoints;
-V must drop strictly at every checkpoint and stay below twice the value
-at the latest checkpoint in between. The planner and the executor both
-run every program through ``synth.flow_endpoint``, which checks the
-latter at every accepted integration step and on the integrator's
-continuous extension inside it, at least every 1/16 of each program
-segment.
+programs on model-predicted states, then applies the resulting schedule.
+The model and the plant coincide here, so the planner's simulation of
+each program is the plant's trajectory under it: the executor reads its
+checkpoints, switch times and samples from that simulation instead of
+integrating the program a second time. Chain boundaries where a program
+ran to completion are recorded as checkpoints; V must drop strictly at
+every checkpoint and stay below twice the value at the latest checkpoint
+in between. The planner runs every program through
+``synth.flow_endpoint``, which checks the latter at every accepted
+integration step and on the integrator's continuous extension inside it,
+at least every 1/16 of each program segment. The trajectory's samples,
+100 per interval on a grid restarted at each segment start, are read from
+the same continuous extension (Shampine 1986), and their V counts towards
+the reported overshoot ratio too.
 
 Each chained program is synthesized with its duration capped by the time
 remaining in the interval; since the candidate durations start at that
@@ -31,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rk import IntegrationError, _check_positive
+from ._rk import IntegrationError, _check_positive, _dense_samples
 from .certify import DEFAULT_N_MAX, SystemDef, _check_n_max
 from .synth import (
     CertificateInconclusive, StepResult, SynthesisFailed, flow_endpoint,
@@ -153,10 +158,11 @@ def plan_interval(
         stop_radius: float = DEFAULT_STOP_RADIUS) -> list[StepResult]:
     """Chain one-step programs covering [0, duration] from the measured
     state z, advancing on model-predicted states only. Returns the
-    synthesized steps, each ending where the next starts; the chain stops
-    short of ``duration`` only when a predicted state enters the stop
-    radius. Raises SynthesisFailed when the chain would exceed
-    _MAX_CHAIN_PROGRAMS programs.
+    synthesized steps, each ending where the next starts and carrying the
+    simulation of its program in ``_flow``; the chain stops short of
+    ``duration`` only when a predicted state enters the stop radius.
+    Raises SynthesisFailed when the chain would exceed _MAX_CHAIN_PROGRAMS
+    programs.
 
     Deterministic in its arguments: replaying it from the same measured
     state reproduces the same control schedule exactly.
@@ -177,14 +183,14 @@ def plan_interval(
         xi_step = min(xi_cap, remaining)
         if steps:
             xi_step = min(xi_step, max(2.0 * steps[-1].program.duration, remaining / 64.0))
-        result = synthesize_step(sys, state, xi_step, n_max=n_max, tol=tol)
+        result = synthesize_step(sys, state, xi_step, n_max=n_max, tol=tol, _keep_flow=True)
         eps = result.program.duration
         if eps != remaining and abs(eps - remaining) <= _LANDING_RTOL * remaining:
             # snap onto the interval end; the relative rescale is O(1e-9)
             # and preserves the two-segment duration ratio exactly
             program = result.program.scaled(remaining / eps)
-            result = replace(result, program=program,
-                             end_state=flow_endpoint(sys, state, program, tol)[0][-1][1])
+            flow = flow_endpoint(sys, state, program, tol)
+            result = replace(result, program=program, end_state=flow[0][-1][1], _flow=flow)
             eps = remaining
         steps.append(result)
         state = result.end_state
@@ -205,9 +211,11 @@ def run_closed_loop(
     in their interval, so ``xi_cap`` only bounds the longest step ever
     attempted. The partition times are generated as the run reaches them,
     so a huge horizon costs nothing beyond the stop. The trajectory records
-    the integrator's samples, each state with the V the kernel computed
-    there. Raises ValueError unless x0 and V(x0) are finite and the horizon,
-    stop radius, ``xi_cap`` and ``tol`` are positive and finite."""
+    the planner's simulations: each segment end with the V the kernel
+    computed there, and the multiples of the interval length / 100 inside
+    each segment, read from the integrator's continuous extension. Raises
+    ValueError unless x0 and V(x0) are finite and the horizon, stop
+    radius, ``xi_cap`` and ``tol`` are positive and finite."""
     # also when the start is already inside the stop radius
     _check_n_max(n_max)
     _check_positive("horizon", horizon)
@@ -216,6 +224,7 @@ def run_closed_loop(
     _check_positive("max step duration", xi_cap)
     _check_positive("tolerance", tol)
     v0 = sys.v_value(x0)
+    v_fn = sys.kernel_fns[1]
     x = tuple(map(float, x0))
     times, states, v_values = [0.0], [x], [v0]
     checkpoints = [(0.0, np.array(x), v0)]
@@ -241,35 +250,37 @@ def run_closed_loop(
             failure = f"interval [{t_a}, {t_b}): {exc}"
             intervals.append(IntervalRecord(t_a, t_b, x, []))
             break
-        intervals.append(IntervalRecord(t_a, t_b, x, planned))
+        intervals.append(IntervalRecord(
+            t_a, t_b, x, [replace(step, _flow=None) for step in planned]))
         sample_dt = (t_b - t_a) / _SAMPLES_PER_INTERVAL
         for step in planned:
             base_v = checkpoints[-1][2]
-            samples, piece_sup = flow_endpoint(
-                sys, x, step.program, tol, sample_dt=sample_dt)
-            for s, y, v in samples:
-                times.append(t_cursor + s)
-                states.append(y)
+            ends, piece_sup, accepted = step._flow
+            t_base = 0.0
+            for (_, duration), end, rk_steps in zip(step.program.segments, ends, accepted):
+                for s, y, v in _dense_samples(v_fn, rk_steps, x, duration, sample_dt):
+                    times.append(t_cursor + (t_base + s))
+                    states.append(y)
+                    v_values.append(v)
+                    # a sample between the planner's checks can see V above them
+                    piece_sup = max(piece_sup, v)
+                t_base, x, v = end
+                times.append(t_cursor + t_base)
+                states.append(x)
                 v_values.append(v)
-            t_switch = 0.0
-            for _, duration in step.program.segments:
-                t_switch += duration
-                events.append(t_cursor + t_switch)
+                events.append(t_cursor + t_base)
             t_cursor = events[-1]
-            _, x, v = samples[-1]
             if base_v > 0:
                 overshoot = max(overshoot, piece_sup / base_v)
             checkpoints.append((t_cursor, np.array(x), v))
+            # the state at which the planner stops its chain early, so the
+            # chain ends here too
             if float(np.linalg.norm(x)) <= stop_radius:
                 stopped = True
                 stop_time = t_cursor
                 break
-        if not stopped and t_b - t_cursor > 1e-9 * max(1.0, t_b):
-            # the planner gave up early only because its predicted state
-            # entered the stop radius; the executed state agrees to within
-            # integration tolerance, so end the run here
-            stopped = True
-            stop_time = t_cursor
+        # free this interval's simulations before the next one is planned
+        del planned
         if stopped:
             break
 

@@ -19,11 +19,11 @@ part in the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk import _DOMAIN_ERRORS, IntegrationError, _check_positive, integrate_segment
+from ._rk import _DOMAIN_ERRORS, IntegrationError, Step, _check_positive, integrate_segment
 from .certify import (
     Case, Certificate, DEFAULT_N_MAX, DEFAULT_TAU_ZERO, SystemDef, certify_point,
 )
@@ -74,6 +74,10 @@ class StepResult:
     v_drop: float
     sup_v_ratio: float
     end_state: tuple[float, ...]
+    # flow_endpoint's (samples, v_max, steps) along the program, kept only
+    # for plan_interval, whose caller reads the executed trajectory from it
+    # and then drops it; no other caller receives one
+    _flow: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class SynthesisFailed(RuntimeError):
@@ -110,21 +114,21 @@ class _BoundExceeded(Exception):
 
 
 def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
-                  tol: float = 1e-10, *, v_limit: float = math.inf,
-                  sample_dt: float | None = None
-                  ) -> tuple[list[tuple[float, tuple[float, ...], float]], float]:
-    """Samples and max-V along a program: the kernel's (t, state, V) triples
-    (see integrate_segment), t from the program's start, at each multiple of
-    ``sample_dt`` inside every segment (none by default) and at every
-    segment end, so that the last sample is the end state and its V. States
-    are tuples of floats. V is checked at x0, and by the integrator at every
-    accepted step and on the continuous extension inside it, so that it is
-    sampled at least every duration/16 of each segment while the step size
-    follows the error control alone. The bound is checked once per accepted
-    step: _BoundExceeded is raised at x0, or after the step whose states
-    first bring V above ``v_limit``, so that a caller that rejects such a
-    program does not pay for the rest of it. A domain error of F or V, at
-    x0 too, raises IntegrationError."""
+                  tol: float = 1e-10, *, v_limit: float = math.inf
+                  ) -> tuple[list[tuple[float, tuple[float, ...], float]], float, list[list[Step]]]:
+    """Samples, max-V and accepted steps along a program: (samples, v_max,
+    steps), where samples are the kernel's (t, state, V) triples at every
+    segment end, t from the program's start, so that the last sample is the
+    end state and its V, and steps[i] are segment i's accepted steps (see
+    integrate_segment), from which states inside it can be read. States
+    are tuples of floats. V is checked at x0, and by the integrator at
+    every accepted step and on the continuous extension inside it, so that
+    it is sampled at least every duration/16 of each segment while the step
+    size follows the error control alone. The bound is checked once per
+    accepted step: _BoundExceeded is raised at x0, or after the step whose
+    states first bring V above ``v_limit``, so that a caller that rejects
+    such a program does not pay for the rest of it. A domain error of F or
+    V, at x0 too, raises IntegrationError."""
     field, v = sys.kernel_fns
     y = tuple(map(float, x0))
     try:
@@ -133,17 +137,18 @@ def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
         raise IntegrationError(f"V failed at the start: {exc}") from exc
     if v_max > v_limit:
         raise _BoundExceeded
-    out = []
+    out, steps = [], []
     t_base = 0.0
     for value, duration in program.segments:
-        samples, v_max = integrate_segment(
-            field, float(value), y, duration, tol, v, v_max, sample_dt, v_limit=v_limit)
+        segment_steps, end, v_max = integrate_segment(
+            field, float(value), y, duration, tol, v, v_max, v_limit=v_limit)
         if v_max > v_limit:
             raise _BoundExceeded
-        out.extend((t_base + t, state, v_state) for t, state, v_state in samples)
-        y = samples[-1][1]
+        y, v_end = end
         t_base += duration
-    return out, v_max
+        out.append((t_base, y, v_end))
+        steps.append(segment_steps)
+    return out, v_max, steps
 
 
 # integration tolerance of the composed flows behind the diagnostics
@@ -321,7 +326,7 @@ def synthesize_step(
         x0,
         xi: float,
         n_max: int = DEFAULT_N_MAX,
-        tol: float = 1e-10) -> StepResult:
+        tol: float = 1e-10, *, _keep_flow: bool = False) -> StepResult:
     """Produce a verified program of duration at most xi with
     V(end) < V(x0) and max V along the step at most 2 V(x0).
 
@@ -329,7 +334,8 @@ def synthesize_step(
     and the first one whose simulation drops V by more than the floor
     without exceeding 2 V(x0) is returned. The result is a pure function
     of the arguments. Raises ValueError when x0 or V(x0) is not finite, or
-    when xi or tol is not positive and finite.
+    when xi or tol is not positive and finite. Only plan_interval passes
+    ``_keep_flow``, to receive the winner's simulation in ``_flow``.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = sys.v_value(x0)
@@ -348,15 +354,17 @@ def synthesize_step(
         try:
             # a candidate whose V passes 2 v0 is abandoned there: v_max of
             # a finished simulation is at most 2 v0
-            samples, v_max = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
+            flow = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
         except (IntegrationError, _BoundExceeded):
             continue
+        samples, v_max, _ = flow
         _, end, v_end = samples[-1]
         drop = v0 - v_end
         if best is None or drop > best:
             best = drop
         if drop > drop_floor:
-            return StepResult(program, cert, rho, u1, drop, v_max / v0, end)
+            return StepResult(program, cert, rho, u1, drop, v_max / v0, end,
+                              flow if _keep_flow else None)
     raise SynthesisFailed(
         f"search grids exhausted for case {cert.case.value}",
         best_drop=best, simulations=simulations, certificate=cert)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from sdstab import SystemDef
+from sdstab import Partition, SystemDef, run_closed_loop
 from sdstab.lie import ScalarField, VectorField, WORD_F, WORD_G, bracket_word
 from sdstab.symcalc import Const, Var, Mul
 
@@ -63,6 +63,20 @@ def rotation3():
         VectorField.from_strings(["0", "0", "1"], 3),
         ScalarField.from_string("0.5*(x1^2+x2^2+x3^2)", 3),
     )
+
+
+@pytest.fixture(scope="session")
+def dblint_run(dblint):
+    """The acceptance closed loop on dblint: from (1, 0) under uniform:0.5 to
+    horizon 50, stopping at |x| = 1e-3."""
+    return run_closed_loop(dblint, [1.0, 0.0], Partition.uniform(0.5), 50.0)
+
+
+@pytest.fixture(scope="session")
+def rotation_run(rotation3):
+    """The acceptance closed loop on rotation3: from (1, 0, 0) under
+    uniform:0.5 to horizon 100."""
+    return run_closed_loop(rotation3, [1.0, 0.0, 0.0], Partition.uniform(0.5), 100.0)
 
 
 @pytest.fixture(scope="session")

@@ -128,23 +128,13 @@ def test_acceptance_5_step_soundness(systems):
         result = synthesize_step(sysd, point, 0.5, tol=tol)
         x0 = np.asarray(point, dtype=float)
         v0 = sysd.v_at(x0)
-        samples, v_max = flow_endpoint(sysd, x0, result.program, tol / 100.0)
+        samples, v_max, _ = flow_endpoint(sysd, x0, result.program, tol / 100.0)
         assert v0 - sysd.v_at(samples[-1][1]) > 0, f"{name}@{point} lost its V-drop"
         assert v_max / v0 <= 2.0, f"{name}@{point} exceeded the factor-2 bound"
     _report(5, "all five programs re-verified at 100x tighter tolerance")
 
 
 # --- 6: closed-loop convergence ----------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def dblint_run(dblint):
-    return run_closed_loop(dblint, [1.0, 0.0], Partition.uniform(0.5), 50.0)
-
-
-@pytest.fixture(scope="module")
-def rotation_run(rotation3):
-    return run_closed_loop(rotation3, [1.0, 0.0, 0.0], Partition.uniform(0.5), 100.0)
-
 
 def _assert_converges(traj, report, radius):
     assert report.failure is None

@@ -132,6 +132,30 @@ def test_drift_failure_reads_like_every_monomial():
     assert cert.detail.startswith("(fV)(x) = 2.0 is not zero"), cert.detail
 
 
+def test_first_row_of_each_order_reads_its_witness(monkeypatch):
+    """f^2 V > 0 fails the first row, (f, f), of the order-2 table, read from
+    the witness f^2V of order 1 with the same detail as its evaluation, and
+    no monomial is evaluated twice at the point."""
+    sysd = SystemDef(
+        VectorField.from_strings(["x2", "x1"], 2),
+        VectorField.from_strings(["0", "0"], 2),
+        ScalarField.from_string("0.5*(x1^2+x2^2)", 2),
+    )
+    evaluated = []
+
+    def recording(system, words, *args):
+        evaluated.append(words)
+        return monomial_value(system, words, *args)
+
+    monkeypatch.setattr(certify, "monomial_value", recording)
+    cert = certify_point(sysd, (1.0, 0.0))
+    assert cert.case is Case.INCONCLUSIVE
+    assert list(cert.witnesses.items()) == [
+        ("gV", 0.0), ("fV", 0.0), ("f^2V", 2.0), ("ad_g^1(f)V", 0.0)]
+    assert cert.detail == "(ffV)(x) = 2.0 is not zero at tolerance 2e-09"
+    assert len(evaluated) == len(set(evaluated)) == 4
+
+
 def test_p4_witness_pattern(rotation3):
     cert = certify_point(rotation3, (1.0, 0.0, 0.0))
     tol = cert.tol_at_point

@@ -136,6 +136,10 @@ def test_generated_step_bitwise_equal_to_numpy_reference(systems, data, name, u,
     start = sysd.v_at(list(y))
     got = _rk._KERNELS[sysd.dim][1](v, y, h, ks, rows, start)
     assert _bits([got]) == _bits([_tracked_max([sysd.v_at(s) for s in states], start)])
+    # dense_state reads each of those states at its theta = j/m
+    dense_state = _rk._KERNELS[sysd.dim][2]
+    assert all(_bits(dense_state(y, h, ks, j / m)) == _bits(state)
+               for j, state in enumerate(states, start=1))
 
 
 def test_error_norm_propagates_nan_in_any_component():
@@ -224,25 +228,56 @@ def test_duration_must_be_positive_and_finite():
 def test_samples_are_tuples_with_the_kernels_v(dblint):
     field, v = dblint.kernel_fns
     seen = []
-    samples, v_max = integrate_segment(
+    steps, (y_end, v_end), v_max = integrate_segment(
         field, 1.0, np.array([1.0, 0.0]), 0.5, 1e-10, _zero_v, -math.inf,
-        sample_dt=0.25, on_step=lambda t, y: seen.append(y))
-    # the start is not a sample
-    assert [t for t, _, _ in samples] == [0.25, 0.5]
-    assert all(isinstance(y, tuple) and len(y) == 2 for _, y, _ in samples)
-    assert all(isinstance(y, tuple) for y in seen)
-    # each sample is the state of an accepted step, with V = 0 there
-    assert all(y in seen and v_y == 0.0 for _, y, v_y in samples)
+        on_step=lambda t, y: seen.append((t, y)))
+    # each accepted step is recorded from the time and state on_step saw at
+    # its start, and the steps tile the segment
+    assert [(t, y) for t, _, y, _ in steps] == seen[:-1]
+    assert [t + h for t, h, _, _ in steps] == [t for t, _ in seen[1:]]
+    assert seen[-1][0] == pytest.approx(0.5) and seen[-1][1] is y_end
+    assert all(isinstance(y, tuple) and len(y) == 2 for _, y in seen)
+    # the stages k1, k3, ..., k7, k7 being the next step's k1
+    assert all(len(ks) == 6 for _, _, _, ks in steps)
+    assert all(a[3][-1] is b[3][0] for a, b in zip(steps, steps[1:]))
     # V = 0 at every state, above the v_max passed in
-    assert v_max == 0.0
+    assert v_end == 0.0 and v_max == 0.0
     # ydot = (x2, 1) from (1, 0): x(t) = (1 + t^2/2, t)
-    np.testing.assert_allclose(samples[-1][1], [1.125, 0.5], rtol=1e-12)
-    samples, _ = integrate_segment(field, 1.0, [1.0, 0.0], 0.5, 1e-10, v, -math.inf,
-                                   sample_dt=0.1)
-    assert all(_bits(v_y) == _bits(v(*y)) for _, y, v_y in samples)
+    np.testing.assert_allclose(y_end, [1.125, 0.5], rtol=1e-12)
+    _, (y_end, v_end), _ = integrate_segment(field, 1.0, [1.0, 0.0], 0.5, 1e-10, v, -math.inf)
+    assert _bits([v_end]) == _bits([v(*y_end)])
     end = fixed_steps(field, 1.0, [1.0, 0.0], 0.5, 8)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
     np.testing.assert_allclose(end, [1.125, 0.5], rtol=1e-12)
+
+
+def test_dense_samples_read_the_grid_from_the_steps(dblint):
+    """The grid the closed loop samples: every multiple of dt inside the
+    segment, its end excluded, read from the continuous extension with no
+    evaluation of the right-hand side and no step landing on it."""
+    field, v = dblint.kernel_fns
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return field(*args)
+
+    steps, end, _ = integrate_segment(counting, 1.0, [1.0, 0.0], 0.5, 1e-10, v, -math.inf)
+    before = calls[0]
+    samples = _rk._dense_samples(v, steps, (1.0, 0.0), 0.5, 0.1)
+    assert calls[0] == before
+    assert [s for s, _, _ in samples] == [0.1, 0.2, 0.30000000000000004, 0.4]
+    assert not any(t == s for t, _, _, _ in steps for s, _, _ in samples)
+    for s, y, v_y in samples:
+        assert isinstance(y, tuple)
+        np.testing.assert_allclose(y, [1.0 + s * s / 2.0, s], rtol=1e-12)
+        assert _bits([v_y]) == _bits([v(*y)])
+    # a grid point within a relative 1e-12 of the end is the end's, not a sample
+    assert [s for s, _, _ in _rk._dense_samples(v, steps, (1.0, 0.0), 0.5, 0.25)] == [0.25]
+    # no grid inside a segment no longer than dt; no step, the start state
+    assert _rk._dense_samples(v, steps, (1.0, 0.0), 0.5, 0.5) == []
+    assert _rk._dense_samples(v, [], (1.0, 0.0), 1e-15, 4e-16) == [
+        (4e-16, (1.0, 0.0), v(1.0, 0.0)), (8e-16, (1.0, 0.0), v(1.0, 0.0))]
 
 
 def test_dense_weights_at_one_are_the_step_weights():
@@ -264,10 +299,9 @@ def test_dense_states_follow_the_exact_solution():
         events.append(("v", x1))
         return x1
 
-    samples, v_max = integrate_segment(
+    _, ((y_end,), v_end), v_max = integrate_segment(
         _field("-x1"), 0.0, [1.0], duration, 1e-10, v, -math.inf,
         on_step=lambda t, y: events.append((t, y[0])))
-    (_, (y_end,), v_end), = samples
     # each accepted step evaluates V at its extension's states, then calls
     # on_step, then evaluates V at its end state
     assert events[0] == (0.0, 1.0)
@@ -334,12 +368,12 @@ def test_v_limit_stops_after_the_step_that_passes_it(peak_inside_step):
     steps = []
     full = integrate_segment(field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01,
                              on_step=lambda t, y: steps.append(t))
-    assert 0.249 <= full[1] <= 0.25 and steps[-1] == 2.0
+    assert 0.249 <= full[2] <= 0.25 and steps[-1] == 2.0
     cut_steps = []
-    samples, v_max = integrate_segment(
+    _, end, v_max = integrate_segment(
         field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01, v_limit=0.1,
         on_step=lambda t, y: cut_steps.append(t))
     assert v_max > 0.1
-    assert samples == []
+    assert end is None
     # stopped before the step whose extension passed the limit was reported
     assert cut_steps == steps[:len(cut_steps)] and len(cut_steps) < len(steps)

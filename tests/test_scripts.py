@@ -44,3 +44,23 @@ def test_certification_atlas(tmp_path):
         assert f"({points} points): " in line
     for name in ("dblint", "planar_cubic", "rotation3"):
         assert (tmp_path / f"{name}_certificates.csv").is_file()
+
+
+def test_compare_outputs_reports_the_largest_differences():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import compare_outputs
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    base = b"t,x1,V\n0,1.0,0.5\n1,-1e-17,2e-10\n"
+    work = b"t,x1,V\n0,1.0000000001,0.5\n1,3e-17,2.2e-10\n"
+    # x1 moves by 1e-10 at row 0; at row 1 it passes through zero, which
+    # counts against the column's scale of 1.0000000001, not against 3e-17
+    assert compare_outputs._largest_difference("trajectory.csv", base, work) == (
+        "; largest difference 1e-10 absolute ([0] x1), 1e-10 relative ([0] x1)")
+    report = {"final_norm": 2.0, "steps": [{"drop": 1.0, "case": "P2"}, {"drop": 4.0}]}
+    moved = {"final_norm": 2.0, "steps": [{"drop": 1.5, "case": "P2"}, {"drop": 4.0}]}
+    assert compare_outputs._largest_difference(
+        "report.json", json.dumps(report).encode(), json.dumps(moved).encode()) == (
+        "; largest difference 0.5 absolute (steps[0] drop), 0.125 relative (steps[0] drop)")
+    assert compare_outputs._largest_difference("stdout", b"a", b"b") is None

@@ -15,6 +15,7 @@ from sdstab.simloop import (
     FactCheck, IntegrationError, Partition, Trajectory,
     plan_interval, run_closed_loop, verify_facts,
 )
+from sdstab._rk import _dense_samples
 from sdstab.simloop import _SAMPLES_PER_INTERVAL, _threshold_times
 from sdstab.synth import ControlProgram, flow_endpoint
 
@@ -131,41 +132,52 @@ def test_huge_horizon_holds_no_partition_times_beyond_the_stop(systems_dir):
 # --- open-loop integration ----------------------------------------------------------
 
 def test_integrate_double_integrator_closed_form(dblint):
-    samples, _ = flow_endpoint(dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), tol=1e-10)
+    samples, _, _ = flow_endpoint(dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), tol=1e-10)
     np.testing.assert_allclose(samples[-1][1], [0.5, 1.0], atol=1e-10)
 
 
 def test_integrate_sees_a_peak_inside_one_step(peak_inside_step):
-    # no sample time inside the segment, so the steps grow to about 1
-    samples, v_max = flow_endpoint(
-        peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)), sample_dt=2.0)
+    # no step lands on a sample time, so the steps grow to about 1, and
+    # the closed loop's samples, read from their continuous extension, see
+    # the peak of 0.25 too, closer than the check every 1/16 of the segment
+    samples, v_max, (steps,) = flow_endpoint(
+        peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)))
     assert [t for t, _, _ in samples] == [2.0]
     assert 0.249 <= v_max <= 0.25
+    assert max(h for _, h, _, _ in steps) > 0.5
+    grid = _dense_samples(peak_inside_step.kernel_fns[1], steps, (0.0, 1.0), 2.0, 0.02)
+    assert v_max <= max(v for _, _, v in grid) <= 0.25 + 1e-12
 
 
 def test_integrate_zero_dynamics(inert):
-    samples, _ = flow_endpoint(inert, [0.3, -0.7], ControlProgram(((1.0, 2.0),)))
+    samples, _, _ = flow_endpoint(inert, [0.3, -0.7], ControlProgram(((1.0, 2.0),)))
     np.testing.assert_allclose(samples[-1][1], [0.3, -0.7], atol=1e-14)
 
 
 def test_integrate_records_switches_and_v(dblint):
     prog = ControlProgram(((1.0, 0.5), (-1.0, 0.5)))
-    samples, v_max = flow_endpoint(dblint, [0.0, 0.0], prog, sample_dt=0.1)
-    times = [t for t, _, _ in samples]
-    assert np.all(np.diff(times) > 0)
-    assert 0.5 in times
-    assert times[-1] == pytest.approx(1.0)
-    assert v_max >= max(dblint.v_at(y) for _, y, _ in samples)
+    samples, v_max, steps = flow_endpoint(dblint, [0.0, 0.0], prog)
+    assert [t for t, _, _ in samples] == [0.5, 1.0]
+    # each segment's steps run from its start to its end
+    starts = [(0.0, 0.0), samples[0][1]]
+    for (_, duration), segment_steps, start in zip(prog.segments, steps, starts):
+        assert segment_steps[0][0] == 0.0 and segment_steps[0][2] == start
+        assert segment_steps[-1][0] + segment_steps[-1][1] == pytest.approx(duration)
+    inside = [y for (_, duration), segment_steps, start in zip(prog.segments, steps, starts)
+              for _, y, _ in _dense_samples(dblint.kernel_fns[1], segment_steps, start, duration, 0.1)]
+    assert len(inside) == 8
+    assert v_max >= max(dblint.v_at(y) for y in inside + [y for _, y, _ in samples])
 
 
 def test_flow_endpoint_samples_carry_the_kernels_v(dblint):
     # the 1e-14 s segments end within roundoff of their start, with no step
     tiny = 1e-14
     prog = ControlProgram(((1.0, 0.3), (-1.0, tiny), (0.5, 0.25), (1.0, tiny / 2)))
-    samples, v_max = flow_endpoint(dblint, [0.2, -0.1], prog, sample_dt=0.1)
+    samples, v_max, steps = flow_endpoint(dblint, [0.2, -0.1], prog)
     times = [t for t, _, _ in samples]
-    assert times == pytest.approx([0.1, 0.2, 0.3, 0.3, 0.4, 0.5, 0.55, 0.55])
-    assert samples[3][1] == samples[2][1] and samples[-1][1] == samples[-2][1]
+    assert times == pytest.approx([0.3, 0.3, 0.55, 0.55])
+    assert samples[1][1] == samples[0][1] and samples[-1][1] == samples[-2][1]
+    assert steps[1] == [] and steps[3] == [] and steps[0] and steps[2]
     for _, state, v in samples:
         assert isinstance(state, tuple)
         assert v.hex() == dblint.v_at(state).hex()
@@ -185,9 +197,15 @@ def test_flow_endpoint_turns_a_v_domain_error_into_integration_error():
 
 
 def test_integrate_dense_grid(dblint):
-    samples, _ = flow_endpoint(
-        dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)), sample_dt=0.01)
-    assert [t for t, _, _ in samples] == pytest.approx([0.01 * j for j in range(1, 101)])
+    # the grid inside the segment comes from the continuous extension of a
+    # few steps sized by the error control alone; x = (t^2/2, t) under u = 1
+    samples, _, (steps,) = flow_endpoint(dblint, [0.0, 0.0], ControlProgram(((1.0, 1.0),)))
+    grid = _dense_samples(dblint.kernel_fns[1], steps, (0.0, 0.0), 1.0, 0.01)
+    assert [s for s, _, _ in grid] == [0.01 * j for j in range(1, 100)]
+    assert len(steps) < 10
+    for s, y, _ in grid:
+        np.testing.assert_allclose(y, [s * s / 2.0, s], rtol=0, atol=1e-12)
+    assert [t for t, _, _ in samples] == [1.0]
 
 
 def test_tightening_tolerance_reduces_error(circular):
@@ -195,8 +213,8 @@ def test_tightening_tolerance_reduces_error(circular):
     exact = np.array([np.cos(T), -np.sin(T)])
     errors = {}
     for tol in (1e-6, 1e-7, 1e-8):
-        samples, _ = flow_endpoint(circular, [1.0, 0.0], ControlProgram(((0.0, T),)),
-                                   tol=tol, sample_dt=T)
+        samples, _, _ = flow_endpoint(circular, [1.0, 0.0], ControlProgram(((0.0, T),)),
+                                      tol=tol)
         errors[tol] = np.linalg.norm(samples[-1][1] - exact)
     assert errors[1e-6] / errors[1e-7] >= 10.0
     assert errors[1e-7] / errors[1e-8] >= 10.0
@@ -293,40 +311,39 @@ def test_threshold_times_stop_on_infinite_v():
     assert _threshold_times(traj) == {}
 
 
-def test_executor_runs_the_planned_programs_through_flow_endpoint(dblint):
-    """flow_endpoint samples each segment on its own grid and at its end, and
-    the closed loop's first interval, samples and switch times, is
-    flow_endpoint chained over the planned programs on the interval's grid."""
-    program = ControlProgram(((1.0, 0.25), (-1.0, 0.5)))
-    samples, _ = flow_endpoint(dblint, [0.0, 0.0], program, sample_dt=0.1)
-    times = [t for t, _, _ in samples]
-    assert times == pytest.approx([0.1, 0.2, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
-    assert times[2] == 0.25 and times[-1] == 0.75
-    # x1'' = u: up to (1/32, 1/4), then back to x1 = 1/32 with the speed reversed
-    np.testing.assert_allclose(samples[2][1], [0.03125, 0.25], atol=1e-12)
-    np.testing.assert_allclose(samples[-1][1], [0.03125, -0.25], atol=1e-12)
-
-    # at radius 0.2 the first interval chains two programs
+def test_executor_reads_the_planned_simulation(dblint):
+    """The closed loop's first interval, samples, checkpoints and switch
+    times, is the planner's simulation: every segment end is the one the
+    planner computed, and the states inside a segment, on the grid of
+    multiples of the interval / 100 from its start, lie on the exact flow
+    from the segment's start state."""
     traj, report = run_closed_loop(dblint, [0.2, 0.0], Partition.uniform(0.5), 1.0)
     record = report.intervals[0]
     assert len(record.steps) == 2
+    planned = plan_interval(dblint, record.measured_state, 0.5, 1.0)
+    assert planned == record.steps
     sample_dt = (record.t_end - record.t_start) / _SAMPLES_PER_INTERVAL
-    x, t_cursor = np.array(record.measured_state), record.t_start
-    times, states, events = [], [], []
-    for step in record.steps:
-        samples, _ = flow_endpoint(dblint, x, step.program, sample_dt=sample_dt)
-        times += [t_cursor + t for t, _, _ in samples]
-        states += [y for _, y, _ in samples]
-        t_switch = 0.0
-        for _, duration in step.program.segments:
-            t_switch += duration
-            events.append(t_cursor + t_switch)
-        t_cursor += step.program.duration
-        x = samples[-1][1]
-    np.testing.assert_array_equal(traj.times[1:len(times) + 1], times)
-    np.testing.assert_array_equal(traj.states[1:len(states) + 1], states)
-    assert traj.events[:len(events)] == events
-    assert traj.times[len(times)] == events[-1] == pytest.approx(record.t_end)
+    t_cursor, row = record.t_start, 1
+    for step in planned:
+        ends, _, _ = step._flow
+        t_base, start = 0.0, traj.states[row - 1]
+        for (u, duration), (t_end, y_end, v_end) in zip(step.program.segments, ends):
+            grid = [j * sample_dt for j in range(1, int(duration / sample_dt) + 1)
+                    if j * sample_dt < duration * (1 - 1e-12)]
+            for s in grid:
+                assert traj.times[row] == t_cursor + (t_base + s)
+                # x1'' = u from the segment's start
+                exact = [start[0] + start[1] * s + u * s * s / 2.0, start[1] + u * s]
+                np.testing.assert_allclose(traj.states[row], exact, rtol=0, atol=1e-12)
+                row += 1
+            assert traj.times[row] == t_cursor + t_end
+            assert tuple(traj.states[row]) == y_end and traj.v_values[row] == v_end
+            assert t_cursor + t_end in traj.events
+            t_base, start = t_end, traj.states[row]
+            row += 1
+        t_cursor = t_cursor + t_base
+    assert row > 100 and traj.times[row - 1] == pytest.approx(record.t_end)
+
 
 
 def test_closed_loop_records_sampled_data_plan(short_run, dblint):
@@ -414,3 +431,83 @@ def test_verify_facts_vacuous_on_trivial_trajectory(inert):
     checks = verify_facts(traj, report)
     assert all(c.passed for c in checks)
     assert all(isinstance(c, FactCheck) for c in checks)
+
+# --- executing the plan ----------------------------------------------------------------
+
+@pytest.mark.parametrize("run, programs, rows", [
+    ("dblint_run", 1894, 6579), ("rotation_run", 481, 20293)])
+def test_acceptance_runs_keep_their_programs_and_sample_rows(request, run, programs, rows):
+    # rows are trajectory.csv's data rows: 100 samples per interval inside
+    # the segments, the segment ends and the start
+    traj, report = request.getfixturevalue(run)
+    assert sum(len(record.steps) for record in report.intervals) == programs
+    assert len(traj.times) == rows
+
+
+@pytest.mark.parametrize("run", ["dblint_run", "rotation_run"])
+def test_executed_checkpoints_are_the_planned_end_states(request, run):
+    traj, report = request.getfixturevalue(run)
+    planned = [step.end_state for record in report.intervals for step in record.steps]
+    executed = [x for _, x, _ in traj.checkpoints[1:]]
+    assert len(executed) == len(planned)
+    assert np.array(executed).tobytes() == np.array(planned).tobytes()
+    # each interval is planned from the state of its first checkpoint, and
+    # the overshoot ratio covers every sample up to the next checkpoint
+    starts = iter(traj.checkpoints)
+    for record in report.intervals:
+        t, x, _ = next(starts)
+        assert t == pytest.approx(record.t_start) and tuple(x) == record.measured_state
+        for _ in record.steps[1:]:
+            next(starts)
+    for (t_a, _, v_a), (t_b, _, _) in zip(traj.checkpoints, traj.checkpoints[1:]):
+        inside = traj.v_values[(traj.times > t_a) & (traj.times <= t_b)]
+        assert inside.max() <= report.overshoot_ratio * v_a
+
+
+@pytest.mark.parametrize("run", ["dblint_run", "rotation_run"])
+def test_no_step_of_a_report_holds_its_simulation(request, run):
+    _, report = request.getfixturevalue(run)
+    assert all(step._flow is None for record in report.intervals for step in record.steps)
+
+
+@pytest.mark.parametrize("run, system", [("dblint_run", "dblint"), ("rotation_run", "rotation3")])
+def test_interpolated_samples_agree_with_dop853(request, run, system):
+    """Every sample inside a segment, read from the kernel's continuous
+    extension at tol = 1e-10, lies within 1e-10 of scipy's DOP853 at
+    rtol 1e-13 from the same segment start (2e-12 is the largest seen)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    traj, report = request.getfixturevalue(run)
+    field = request.getfixturevalue(system).kernel_fns[0]
+    segments = [(u, d) for record in report.intervals for step in record.steps
+                for u, d in step.program.segments]
+    assert len(segments) == len(traj.events)
+    row, t_start, x_start, checked = 1, 0.0, traj.states[0], 0
+    for (u, _), t_end in zip(segments, traj.events):
+        inside = []
+        while traj.times[row] != t_end:
+            inside.append(row)
+            row += 1
+        if inside:
+            times = traj.times[inside] - t_start
+            ref = integrate.solve_ivp(lambda t, y: field(*y, u), (0.0, times[-1]), x_start,
+                                      method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+            assert np.abs(ref.y.T - traj.states[inside]).max() <= 1e-10
+            checked += len(inside)
+        t_start, x_start = t_end, traj.states[row]
+        row += 1
+    assert row == len(traj.times) and checked > 2000
+
+
+def test_run_calls_plan_interval_through_the_module_global(dblint, monkeypatch):
+    # the benchmark times plan_interval by replacing it on the module
+    measured = []
+    plan = simloop.plan_interval
+
+    def recording(sys, z, *args, **kwargs):
+        measured.append(z)
+        return plan(sys, z, *args, **kwargs)
+
+    monkeypatch.setattr(simloop, "plan_interval", recording)
+    _, report = run_closed_loop(dblint, [0.2, 0.0], Partition.uniform(0.5), 2.0)
+    assert len(report.intervals) == 4
+    assert measured == [record.measured_state for record in report.intervals]

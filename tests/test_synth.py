@@ -152,7 +152,7 @@ def test_time_must_be_non_negative_and_finite(dblint, t):
 # --- one-step synthesis --------------------------------------------------------------------
 
 def test_flow_endpoint_sees_a_peak_inside_one_step(peak_inside_step):
-    samples, v_max = flow_endpoint(
+    samples, v_max, _ = flow_endpoint(
         peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)))
     assert [t for t, _, _ in samples] == [2.0]
     np.testing.assert_allclose(samples[-1][1], [0.0, -1.0], atol=1e-9)
@@ -161,7 +161,7 @@ def test_flow_endpoint_sees_a_peak_inside_one_step(peak_inside_step):
 
 
 def _resimulate(sysd, x0, result, tol):
-    samples, v_max = flow_endpoint(sysd, np.asarray(x0, dtype=float), result.program, tol)
+    samples, v_max, _ = flow_endpoint(sysd, np.asarray(x0, dtype=float), result.program, tol)
     v0 = sysd.v_at(np.asarray(x0, dtype=float))
     return v0 - sysd.v_at(samples[-1][1]), v_max / v0
 
@@ -173,6 +173,19 @@ def test_transversal_step(dblint):
     assert result.program.segments[0][0] == -1.0
     assert result.v_drop > 0
     assert result.sup_v_ratio <= 2.0
+
+
+def test_only_the_planner_receives_the_winning_simulation(dblint):
+    """A direct caller's StepResult holds no simulation; plan_interval's holds
+    the winner's, which does not take part in comparisons or the repr."""
+    result = synthesize_step(dblint, [1.0, 0.0], 0.5)
+    assert result._flow is None
+    kept = synthesize_step(dblint, [1.0, 0.0], 0.5, _keep_flow=True)
+    samples, v_max, steps = kept._flow
+    assert samples[-1][1] == kept.end_state
+    assert v_max / dblint.v_at([1.0, 0.0]) == kept.sup_v_ratio
+    assert len(steps) == len(kept.program.segments)
+    assert kept == result and repr(kept) == repr(result)
 
 
 def test_bracket_step_double_integrator(dblint):
@@ -243,7 +256,7 @@ def _reference_search(sysd, x0, xi, tol=1e-10):
     for rho, u1, program in _candidates(cert, xi):
         simulations += 1
         try:
-            samples, v_max = flow_endpoint(sysd, x0, program, tol)
+            samples, v_max, _ = flow_endpoint(sysd, x0, program, tol)
         except IntegrationError:
             continue
         end = samples[-1][1]
