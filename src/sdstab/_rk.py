@@ -226,6 +226,7 @@ def integrate_segment(
         tol: float,
         v: Scalar,
         v_max: float,
+        # kept for the benchmark: perfbench/tracing.py counts accepted steps here
         on_step: Callable[[float, tuple[float, ...]], None] | None = None,
         v_limit: float = math.inf,
 ) -> tuple[list[Step], tuple[tuple[float, ...], float] | None, float]:

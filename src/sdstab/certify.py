@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -133,6 +134,7 @@ class SystemDef:
         v_at, compiled with the system."""
         return compile_affine(self.f.components, self.g.components), self._v
 
+    # kept for the benchmark: perfbench/tracing.py counts rhs evaluations here
     def rhs(self, u: float):
         """x -> f(x) + u*g(x) as a list of floats, through kernel_fns' F."""
         field, u = self.kernel_fns[0], float(u)
@@ -220,8 +222,16 @@ class Certificate:
         return f"case={self.case.value} N={self.N}"
 
 
+def _check_index(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer, numpy's too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_n_max(n_max: int) -> None:
-    if not 0 <= n_max <= N_MAX_LIMIT:
+    if not 0 <= _check_index("n_max", n_max) <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be between 0 and {N_MAX_LIMIT}, got {n_max}")
 
 
@@ -231,7 +241,7 @@ def certify_point(
         n_max: int = DEFAULT_N_MAX,
         tau_zero: float = DEFAULT_TAU_ZERO) -> Certificate:
     """Classify the state x != 0. Pure function of its arguments. Raises
-    ValueError when x or V(x) is not finite, n_max is outside
+    ValueError when x or V(x) is not finite, n_max is not an integer in
     [0, N_MAX_LIMIT], or a witness evaluated at x is not finite or leaves
     its domain (a division by zero, say)."""
     _check_n_max(n_max)
@@ -321,7 +331,7 @@ def certify_grid(
         raise ValueError(
             f"box/resolution must have {sys.dim} axes, "
             f"got {len(box)}/{len(resolution)}")
-    if any(k < 1 for k in resolution):
+    if any(_check_index("resolution", k) < 1 for k in resolution):
         raise ValueError("empty grid: every axis resolution must be >= 1")
     _check_n_max(n_max)
     axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(box, resolution)]

@@ -45,7 +45,7 @@ from .simloop import (
     IntegrationError, LoopReport, Partition, Trajectory, run_closed_loop,
     verify_facts,
 )
-from .symcalc import ExprError
+from .symcalc import _FUNCS, ExprError
 from .synth import (
     CertificateInconclusive, SynthesisFailed, cbh_residual,
     m_derivative_estimates, synthesize_step,
@@ -66,7 +66,7 @@ def _fmt(x: float) -> str:
 # --- system files ----------------------------------------------------------------
 
 _KEY_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+?)\s*$")
-_RESERVED = {"sin", "cos", "exp", "ln"}
+_RESERVED = set(_FUNCS.values())
 
 
 @dataclass(frozen=True)
@@ -279,16 +279,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_point(text: str) -> np.ndarray:
-    try:
-        point = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise CliError(f"cannot parse point {text!r}") from None
-    if not np.all(np.isfinite(point)):
-        raise CliError(f"point {text!r} has a non-finite coordinate")
-    return point
-
-
 def _parse_box(text: str) -> list[tuple[float, float]]:
     out = []
     for axis in text.split(","):
@@ -323,14 +313,22 @@ def _finite_float(what: str):
     return convert
 
 
-def _parse_times(text: str) -> tuple[float, ...]:
-    try:
-        times = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise CliError(f"cannot parse --t {text!r}") from None
-    if not all(map(math.isfinite, times)):
-        raise CliError(f"--t {text!r} has a non-finite time")
-    return times
+def _finite_floats(what: str, item: str):
+    """Converter of a comma-separated list of finite floats, each an
+    ``item`` of the ``what``."""
+    def convert(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(v) for v in text.split(","))
+        except ValueError:
+            raise CliError(f"cannot parse {what} {text!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise CliError(f"{what} {text!r} has a non-finite {item}")
+        return values
+    return convert
+
+
+_parse_point = _finite_floats("point", "coordinate")
+_parse_times = _finite_floats("--t", "time")
 
 
 def _parse_partition(text: str) -> Partition:

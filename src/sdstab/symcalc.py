@@ -230,6 +230,10 @@ class Ln(_Unary):
     __slots__ = ()
 
 
+# the grammar's functions by their names in the input text
+_FUNCS = {Sin: "sin", Cos: "cos", Exp: "exp", Ln: "ln"}
+
+
 class _Binary(Expr):
     __slots__ = ("left", "right")
     _fields = ("left", "right")
@@ -323,14 +327,8 @@ def to_text(e: Expr) -> str:
         return f"x{e.index}"
     if isinstance(e, Neg):
         return f"-{wrap(e.arg, 2)}"
-    if isinstance(e, Sin):
-        return f"sin({to_text(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({to_text(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({to_text(e.arg)})"
-    if isinstance(e, Ln):
-        return f"ln({to_text(e.arg)})"
+    if type(e) in _FUNCS:
+        return f"{_FUNCS[type(e)]}({to_text(e.arg)})"
     if isinstance(e, Add):
         return f"{wrap(e.left, 1)}+{wrap(e.right, 2)}"
     if isinstance(e, Sub):
@@ -589,9 +587,11 @@ def _diff(e: Expr, i: int) -> Expr:
 
 # --- compilation ----------------------------------------------------------
 
-# inf and nan are how repr renders the non-finite constants
-_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
-              "inf": math.inf, "nan": math.nan}
+# the compiled code calls each function by its grammar name after an
+# underscore (math spells ln log); inf and nan are how repr renders the
+# non-finite constants
+_NAMESPACE = {f"_{name}": getattr(math, "log" if name == "ln" else name)
+              for name in _FUNCS.values()} | {"inf": math.inf, "nan": math.nan}
 
 
 def _pycode(e: Expr) -> str:
@@ -604,14 +604,8 @@ def _pycode(e: Expr) -> str:
         return f"_x{e.index - 1}"
     if isinstance(e, Neg):
         return f"(-{_pycode(e.arg)})"
-    if isinstance(e, Sin):
-        return f"_sin({_pycode(e.arg)})"
-    if isinstance(e, Cos):
-        return f"_cos({_pycode(e.arg)})"
-    if isinstance(e, Exp):
-        return f"_exp({_pycode(e.arg)})"
-    if isinstance(e, Ln):
-        return f"_log({_pycode(e.arg)})"
+    if type(e) in _FUNCS:
+        return f"_{_FUNCS[type(e)]}({_pycode(e.arg)})"
     if type(e) in _BINARY_OPS:
         return f"({_binary_code(e)})"
     if isinstance(e, Pow):
@@ -680,7 +674,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()])"
 )
 
-_FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp, "ln": Ln}
+_FUNC_OF_NAME = {name: cls for cls, name in _FUNCS.items()}
 
 _INT_RE = re.compile(r"\d+$")
 
@@ -798,11 +792,11 @@ def _parse_base(toks: _Tokens, dim: int) -> Expr:
     if kind == "num":
         return Const(_fraction_from_literal(value))
     if kind == "ident":
-        if value in _FUNCS:
+        if value in _FUNC_OF_NAME:
             toks.expect_op("(")
             arg = _parse_expr(toks, dim)
             toks.expect_op(")")
-            return _FUNCS[value](arg)
+            return _FUNC_OF_NAME[value](arg)
         m = re.fullmatch(r"x(\d+)", value)
         if m:
             index = int(m.group(1))

@@ -54,9 +54,6 @@ class ControlProgram:
     def duration(self) -> float:
         return sum(d for _, d in self.segments)
 
-    def scaled(self, factor: float) -> "ControlProgram":
-        return ControlProgram(tuple((v, d * factor) for v, d in self.segments))
-
 
 def two_phase_program(rho: float, u1: float, t: float) -> ControlProgram:
     if not (math.isfinite(rho) and math.isfinite(u1)):
@@ -109,13 +106,10 @@ class CertificateInconclusive(RuntimeError):
 
 # --- simulation helpers -------------------------------------------------------
 
-class _BoundExceeded(Exception):
-    """V passed flow_endpoint's v_limit; the simulation stops there."""
-
-
-def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
-                  tol: float = 1e-10, *, v_limit: float = math.inf
-                  ) -> tuple[list[tuple[float, tuple[float, ...], float]], float, list[list[Step]]]:
+def flow_endpoint(
+        sys: SystemDef, x0, program: ControlProgram, tol: float = 1e-10, *,
+        v_limit: float = math.inf,
+) -> tuple[list[tuple[float, tuple[float, ...], float]], float, list[list[Step]]] | None:
     """Samples, max-V and accepted steps along a program: (samples, v_max,
     steps), where samples are the kernel's (t, state, V) triples at every
     segment end, t from the program's start, so that the last sample is the
@@ -125,10 +119,10 @@ def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
     every accepted step and on the continuous extension inside it, so that
     it is sampled at least every duration/16 of each segment while the step
     size follows the error control alone. The bound is checked once per
-    accepted step: _BoundExceeded is raised at x0, or after the step whose
-    states first bring V above ``v_limit``, so that a caller that rejects
-    such a program does not pay for the rest of it. A domain error of F or
-    V, at x0 too, raises IntegrationError."""
+    accepted step: the result is None when V(x0) is above ``v_limit``, or
+    as soon as a step's states bring V above it, so that a caller that
+    rejects such a program does not pay for the rest of it. A domain error
+    of F or V, at x0 too, raises IntegrationError."""
     field, v = sys.kernel_fns
     y = tuple(map(float, x0))
     try:
@@ -136,14 +130,14 @@ def flow_endpoint(sys: SystemDef, x0, program: ControlProgram,
     except _DOMAIN_ERRORS as exc:
         raise IntegrationError(f"V failed at the start: {exc}") from exc
     if v_max > v_limit:
-        raise _BoundExceeded
+        return None
     out, steps = [], []
     t_base = 0.0
     for value, duration in program.segments:
         segment_steps, end, v_max = integrate_segment(
             field, float(value), y, duration, tol, v, v_max, v_limit=v_limit)
-        if v_max > v_limit:
-            raise _BoundExceeded
+        if end is None:
+            return None
         y, v_end = end
         t_base += duration
         out.append((t_base, y, v_end))
@@ -355,7 +349,9 @@ def synthesize_step(
             # a candidate whose V passes 2 v0 is abandoned there: v_max of
             # a finished simulation is at most 2 v0
             flow = flow_endpoint(sys, x0, program, tol, v_limit=2.0 * v0)
-        except (IntegrationError, _BoundExceeded):
+        except IntegrationError:
+            continue
+        if flow is None:
             continue
         samples, v_max, _ = flow
         _, end, v_end = samples[-1]

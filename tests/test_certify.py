@@ -112,6 +112,31 @@ def test_n_max_outside_range_rejected(dblint, n_max):
         certify_grid(dblint, [(0.0, 0.0), (0.0, 0.0)], [1, 1], n_max=n_max)
 
 
+@pytest.mark.parametrize("x", [(0.0, 1.0), (1.0, 0.0)])
+def test_non_integer_n_max_rejected(dblint, x):
+    # at (0, 1) a Transversal point needs no order, at (1, 0) a P2 point
+    # reads its tables up to n_max
+    with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
+        certify_point(dblint, x, n_max=2.5)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        certify_point(dblint, x, n_max=np.float64(2.0))
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        certify_grid(dblint, [(0.0, 1.0), (0.0, 1.0)], [2, 2], n_max=2.5)
+
+
+def test_non_integer_resolution_rejected(dblint):
+    with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
+        certify_grid(dblint, [(-1.0, 1.0), (-1.0, 1.0)], [2.5, 2])
+
+
+def test_numpy_integers_accepted(dblint):
+    assert (certify_point(dblint, (1.0, 0.0), n_max=np.int64(3))
+            == certify_point(dblint, (1.0, 0.0), n_max=3))
+    entries = certify_grid(dblint, [(-1.0, 1.0), (-1.0, 1.0)], np.array([2, 3]),
+                           n_max=np.int32(3))
+    assert entries == certify_grid(dblint, [(-1.0, 1.0), (-1.0, 1.0)], [2, 3], n_max=3)
+
+
 def test_inconclusive_is_reported_not_raised(inert_system):
     cert = certify_point(inert_system, (1.0, 0.0))
     assert cert.case is Case.INCONCLUSIVE

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sdstab
-from sdstab import simloop
+from sdstab import simloop, synth
 from sdstab.certify import SystemDef
 from sdstab.lie import ScalarField, VectorField
 from sdstab.simloop import (
@@ -17,7 +17,7 @@ from sdstab.simloop import (
 )
 from sdstab._rk import _dense_samples
 from sdstab.simloop import _SAMPLES_PER_INTERVAL, _threshold_times
-from sdstab.synth import ControlProgram, flow_endpoint
+from sdstab.synth import ControlProgram, flow_endpoint, synthesize_step
 
 from test_rk import fixed_steps
 
@@ -305,10 +305,35 @@ def test_closed_loop_rejects_n_max_beyond_limit_inside_stop_radius(dblint):
         run_closed_loop(dblint, (1e-4, 0.0), Partition.uniform(0.5), 1.0, n_max=7)
 
 
+def test_closed_loop_rejects_a_non_integer_n_max(dblint):
+    with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
+        run_closed_loop(dblint, (1.0, 0.0), Partition.uniform(0.5), 1.0, n_max=2.5)
+
+
 def test_threshold_times_stop_on_infinite_v():
     traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)),
                       np.array([np.inf, 1.0]), [], [])
     assert _threshold_times(traj) == {}
+
+
+def test_a_landing_program_runs_as_synthesized(rotation3, monkeypatch):
+    """A program within _LANDING_RTOL of the time left ends the chain as
+    synthesize_step verified it: with rho = 2 alone, the first P4 candidate
+    from (1, 0, 0), t + 2t with t a third of this interval, overshoots it
+    by one rounding unit."""
+    monkeypatch.setattr(synth, "_RHO_GRID", (2.0,))
+    x0, duration = (1.0, 0.0, 0.0), 0.769975265677168
+    steps = plan_interval(rotation3, x0, duration, 1.0)
+    assert len(steps) == 1
+    (step,) = steps
+    assert step.program.duration != duration
+    assert step.program == synthesize_step(rotation3, x0, duration).program
+    samples, v_max, _ = step._flow
+    v0 = rotation3.v_value(x0)
+    _, end_state, v_end = samples[-1]
+    assert (step.v_drop, step.sup_v_ratio, step.end_state) == (v0 - v_end, v_max / v0, end_state)
+    assert abs(sum(s.program.duration for s in steps) - duration) <= (
+        simloop._LANDING_RTOL * duration)
 
 
 def test_executor_reads_the_planned_simulation(dblint):

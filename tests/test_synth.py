@@ -9,7 +9,7 @@ from sdstab.lie import ScalarField, VectorField
 from sdstab._rk import IntegrationError
 from sdstab.synth import (
     CertificateInconclusive, ControlProgram, StepResult, SynthesisFailed,
-    _BoundExceeded, _candidates,
+    _candidates,
     cbh_residual, composed_flow, flow_endpoint, m_derivative_estimates,
     m_of_t, synthesize_step, two_phase_program,
 )
@@ -324,8 +324,7 @@ def test_flow_endpoint_stops_after_the_step_that_passes_the_limit(peak_inside_st
     full, full_vs, full_calls = _recording(peak_inside_step)
     flow_endpoint(full, [0.0, 1.0], program)
     cut, cut_vs, cut_calls = _recording(peak_inside_step)
-    with pytest.raises(_BoundExceeded):
-        flow_endpoint(cut, [0.0, 1.0], program, v_limit=0.1)
+    assert flow_endpoint(cut, [0.0, 1.0], program, v_limit=0.1) is None
     first_above = next(i for i, v in enumerate(full_vs) if v > 0.1)
     # the cut run samples what the full run samples, up to the rest of the
     # step that passes the limit: at most its 15 extension states and its end
@@ -334,8 +333,7 @@ def test_flow_endpoint_stops_after_the_step_that_passes_the_limit(peak_inside_st
     assert 0 < cut_calls[0] < full_calls[0]
     # the start counts too, before any field evaluation
     start, start_vs, start_calls = _recording(peak_inside_step)
-    with pytest.raises(_BoundExceeded):
-        flow_endpoint(start, [0.0, 1.0], program, v_limit=0.005)
+    assert flow_endpoint(start, [0.0, 1.0], program, v_limit=0.005) is None
     assert start_calls[0] == 0 and len(start_vs) == 1
 
 
