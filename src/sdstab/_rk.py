@@ -6,6 +6,14 @@ against err <= scale * h keeps the endpoint error roughly proportional
 to the tolerance, so tightening the tolerance tenfold buys a tenfold
 error reduction.
 
+Every segment starts with one attempt across the whole segment, and the
+controller shrinks h only where the flow needs it: a flow quadratic in t,
+as the double integrator's constant-input flows are, is integrated exactly
+by that one step. A trial step can put a stage outside F's domain where
+the solution stays inside it, so a domain error of F in a trial step, a
+NaN error estimate or a non-finite new state rejects the attempt, as a
+large error estimate does, and the next attempt is five times shorter.
+
 The maximum of a scalar function V along the solution is always tracked,
 at the end of every accepted step and between steps too: every accepted
 step of size h is sampled at the interior points theta = j/m,
@@ -32,8 +40,10 @@ time: the step size follows the error control alone, and a state between
 steps, such as one of the closed loop's samples, is read from the same
 continuous extension by a third generated function, at the cost of one V
 evaluation and no evaluation of the right-hand side (``_dense_samples``).
-Segments have positive durations. A domain error of F or V (a division by
-zero, an overflowing exp) becomes an IntegrationError.
+Segments have positive durations. A domain error of F at the segment's
+start or of V (a division by zero, an overflowing exp) becomes an
+IntegrationError, as do an accepted state beyond the divergence bound and
+a step size that underflows, whose message names the last rejected trial.
 """
 
 from __future__ import annotations
@@ -52,7 +62,8 @@ Step = tuple[float, float, tuple[float, ...], tuple[tuple[float, ...], ...]]
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow, divergence, or a domain failure in the RHS."""
+    """Step-size underflow, divergence, or a domain failure of F at a
+    segment's start or of V."""
 
 
 _A21 = 1 / 5
@@ -246,10 +257,15 @@ def integrate_segment(
     duration/16 apart in time. Once v_max exceeds ``v_limit`` the
     integration stops, with ``end`` None, at the end of the accepted step
     that passed it: before that step's ``on_step`` when one of its
-    extension states did, after it when its end state did. Raises
-    IntegrationError once a component exceeds 1e6 in magnitude, and in
-    place of a ZeroDivisionError, ValueError or OverflowError raised by F
-    or V.
+    extension states did, after it when its end state did.
+
+    The first attempt spans the whole segment. An attempt whose stages
+    raise a ZeroDivisionError, ValueError or OverflowError in F, or that
+    yields a NaN error estimate or a non-finite state, is rejected and
+    retried with h five times smaller. Raises IntegrationError in place of
+    such an error raised by F at the start or by V anywhere, once an
+    accepted state has a component beyond 1e6 in magnitude, and when the
+    step size underflows, naming the last rejected trial.
     """
     _check_positive("segment duration", duration)
     _check_positive("tolerance", tol)
@@ -260,8 +276,9 @@ def integrate_segment(
 
     rtol = tol
     atol = tol * 1e-2
-    h = duration / 50.0
+    h = duration
     t = 0.0
+    failure = "none rejected"
     dense_vmax = _KERNELS[len(y)][1]
     try:
         k1 = field(*y, u)
@@ -280,14 +297,19 @@ def integrate_segment(
             break
         h = min(h, gap)
         if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t = {t}")
+            raise IntegrationError(f"step size underflow at t = {t}, last trial: {failure}")
         try:
             y_new, err_norm, ks = _stages(field, u, y, h, k1, atol, rtol)
         except _DOMAIN_ERRORS as exc:
-            raise IntegrationError(f"right-hand side failed near t = {t}: {exc}") from exc
-        # a NaN error estimate would leave h unchanged and the step rejected forever
+            # a trial step can leave F's domain where the solution does not
+            failure = f"right-hand side failed: {exc}"
+            h *= _MIN_FACTOR
+            continue
+        # a NaN error estimate would leave h unchanged below
         if err_norm != err_norm or not all(map(math.isfinite, y_new)):
-            raise IntegrationError(f"non-finite state or error estimate near t = {t}")
+            failure = "non-finite state or error estimate"
+            h *= _MIN_FACTOR
+            continue
         if err_norm <= h:
             rows = _DENSE_WEIGHTS[math.ceil(_DENSE_GRID * h / duration)]
             if rows:
@@ -320,6 +342,7 @@ def integrate_segment(
             factor = _SAFETY * (h / max(err_norm, 1e-300)) ** 0.25
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         else:
+            failure = "error estimate above tolerance"
             factor = _SAFETY * (h / err_norm) ** 0.25
             h *= max(_MIN_FACTOR, min(1.0, factor))
     return steps, (y, v_end), v_max

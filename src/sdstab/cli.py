@@ -275,6 +275,12 @@ def _report_to_json(report: LoopReport) -> dict:
 # --- argument handling ----------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts like a negative number ("-0.3,0.954",
+        # "-1:1,-1:1") is a value, not only one that is a negative number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 

@@ -104,8 +104,8 @@ def inert_system():
 def peak_inside_step():
     """f = (x2, 0), g = (0, 1), V = x1^2 + x2^2/100. Under u = -1 from (0, 1),
     x2 = 1 - t and x1 = t - t^2/2, so V peaks at 1/4 at t = 1. Dormand-Prince
-    is exact on this flow, so its steps grow to about 1 and no accepted step
-    ends near the peak: V at the step ends alone reads about 0.223."""
+    is exact on this flow, so one step spans a segment of 2 s and no accepted
+    step ends near the peak: V at the step ends alone reads 0.01."""
     return SystemDef(
         VectorField.from_strings(["x2", "0"], 2),
         VectorField.from_strings(["0", "1"], 2),

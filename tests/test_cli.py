@@ -171,6 +171,24 @@ def test_usage_errors_exit_one(systems_dir, tmp_path):
                  "--at", "one,zero", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x0", "-0.3,0.954", "--partition", "uniform:0.5", "--horizon", "1"],
+    ["certify", "--at", "-1,0"],
+    ["step", "--at", "-.5,0"],
+    ["certify-grid", "--box", "-1:1,-1:1", "--res", "3,3"],
+])
+def test_a_value_starting_with_a_minus_sign_is_not_an_option(systems_dir, tmp_path, argv,
+                                                             capsys):
+    # --x0 -0.3,0.954 reads like --x0=-0.3,0.954
+    command, flag, *rest = argv
+    assert main([command, *_sys_arg(systems_dir, "dblint.sys"), flag, *rest,
+                 "--out", str(tmp_path)]) == 0
+    # an option in the value's place is still no value
+    assert main([command, *_sys_arg(systems_dir, "dblint.sys"), flag,
+                 "--out", str(tmp_path)]) == 1
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
+
 def _run_module(argv, systems_dir, out):
     """`python -m sdstab` in a separate process, so that a hang fails the
     test instead of the suite."""

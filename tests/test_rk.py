@@ -165,24 +165,43 @@ def test_error_norm_propagates_nan_in_any_component():
                                                    1e-12, 1e-10))
 
 
-def _nan_on_call(n):
-    """A 2-d field of unit rate whose n-th evaluation has a NaN in its second
-    component; like any real field, it passes a NaN in its argument on."""
+def _nan_on_call(n, persist=False):
+    """A 2-d field of unit rate whose n-th evaluation (and, with ``persist``,
+    every later one) has a NaN in its second component; like any real field,
+    it passes a NaN in its argument on."""
     calls = [0]
 
     def field(x1, x2, u):
         calls[0] += 1
         rate = (1.0 + 0.0 * x2, 1.0 + 0.0 * x1)
-        return (rate[0], math.nan) if calls[0] == n else rate
+        nan = calls[0] >= n if persist else calls[0] == n
+        return (rate[0], math.nan) if nan else rate
     return field
 
 
 @pytest.mark.parametrize("stage", range(2, 8))
+def test_a_one_off_nan_stage_rejects_the_attempt(stage):
+    # call 1 is k1 at the start; calls 2..7 are stages k2..k7 of the first
+    # attempt, which spans the segment: the NaN rejects it, and the flow,
+    # exact for the kernel, is integrated in shorter steps without it
+    seen = []
+    steps, (y_end, _), _ = integrate_segment(
+        _nan_on_call(stage), 0.0, [0.0, 0.0], 1.0, 1e-10, _zero_v, -math.inf,
+        on_step=lambda t, y: seen.append((t, y)))
+    assert len(steps) > 1 and seen[-1][0] == 1.0
+    for _, _, y, ks in steps:
+        assert all(map(math.isfinite, y + sum(ks, ())))
+    assert all(math.isfinite(c) for _, y in seen for c in y)
+    assert y_end == pytest.approx((1.0, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("stage", range(1, 8))
 def test_nan_at_any_stage_ends_in_integration_error(stage):
-    # call 1 is k1 at the start; calls 2..7 are stages k2..k7 of the first step
+    # a field that stays NaN from the given call on: every attempt from then
+    # on is rejected, until the step size underflows
     accepted = []
-    with pytest.raises(IntegrationError, match="non-finite"):
-        integrate_segment(_nan_on_call(stage), 0.0, [0.0, 0.0], 1.0, 1e-10,
+    with pytest.raises(IntegrationError, match="underflow.*non-finite"):
+        integrate_segment(_nan_on_call(stage, persist=True), 0.0, [0.0, 0.0], 1.0, 1e-10,
                           _zero_v, -math.inf, on_step=lambda t, y: accepted.append(t))
     assert accepted == [0.0]
 
@@ -195,20 +214,34 @@ def test_rhs_domain_errors_become_integration_errors():
 
 
 def test_v_domain_errors_become_integration_errors():
-    # x1 = 26 + 1000 t, so exp(x1^2) overflows once x1 passes 26.64. Over
-    # 1 s, the first step (0.02 s, no extension state) ends beyond that; over
-    # 1 ms, an extension state inside the fourth step is the first beyond it.
+    # x1 = x1(0) + 1000 t, so exp(x1^2) overflows once x1 passes 26.64. The
+    # one step spans the segment: from 26 over 1 s, its first extension state
+    # (t = 1/16) is beyond that; from 25.7 over 1 ms, its last extension state
+    # (x1 = 26.6375) is not, and its end (x1 = 26.7) is.
     def v(x1, x2):
         return math.exp(x1 * x1) - 1.0 + x2 * x2
 
-    for duration, where in ((1.0, "at t = 0.02:"), (0.001, "inside the step from t = ")):
+    for x1, duration, where in ((26.0, 1.0, "inside the step from t = 0.0:"),
+                                (25.7, 0.001, "at t = 0.001:")):
         with pytest.raises(IntegrationError, match=f"V failed {where}") as info:
-            integrate_segment(_field("1000", "0"), 0.0, [26.0, 0.5], duration, 1e-10,
-                              v, v(26.0, 0.5))
+            integrate_segment(_field("1000", "0"), 0.0, [x1, 0.5], duration, 1e-10,
+                              v, v(x1, 0.5))
         assert isinstance(info.value.__cause__, OverflowError)
     # a segment within roundoff of 0 takes no step: V is evaluated at the start
     with pytest.raises(IntegrationError, match="V failed at t = 0.0:"):
         integrate_segment(_field("1000", "0"), 0.0, [27.0, 0.5], 1e-15, 1e-10, v, 0.0)
+
+
+@pytest.mark.parametrize("duration", [2.0, 5.0, 10.0])
+def test_a_trial_step_outside_the_fields_domain_is_rejected(duration):
+    # x1 = e^-t stays positive, but the first attempt's stage k2 reads ln at
+    # x1 = 1 - duration/5 <= 0: a domain error rejects that attempt, as a
+    # large error estimate would, and the solution (e^-t, -t^2/2) is reached
+    steps, (y_end, _), _ = integrate_segment(
+        _field("-x1", "ln(x1)"), 0.0, [1.0, 0.0], duration, 1e-10, _zero_v, -math.inf)
+    assert steps[-1][0] + steps[-1][1] == duration
+    np.testing.assert_allclose(y_end, [math.exp(-duration), -duration ** 2 / 2],
+                               rtol=1e-8, atol=1e-10)
 
 
 def test_tolerance_must_be_positive():
@@ -368,7 +401,7 @@ def test_v_limit_stops_after_the_step_that_passes_it(peak_inside_step):
     steps = []
     full = integrate_segment(field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01,
                              on_step=lambda t, y: steps.append(t))
-    assert 0.249 <= full[2] <= 0.25 and steps[-1] == 2.0
+    assert 0.249 <= full[2] <= 0.25 + 1e-12 and steps[-1] == 2.0
     cut_steps = []
     _, end, v_max = integrate_segment(
         field, -1.0, [0.0, 1.0], 2.0, 1e-10, v, 0.01, v_limit=0.1,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdstab import synth
+from sdstab import _rk, synth
 from sdstab.certify import Case, SystemDef, certify_point
 from sdstab.lie import ScalarField, VectorField
 from sdstab._rk import IntegrationError
@@ -156,8 +156,27 @@ def test_flow_endpoint_sees_a_peak_inside_one_step(peak_inside_step):
         peak_inside_step, [0.0, 1.0], ControlProgram(((-1.0, 2.0),)))
     assert [t for t, _, _ in samples] == [2.0]
     np.testing.assert_allclose(samples[-1][1], [0.0, -1.0], atol=1e-9)
-    assert 0.249 <= v_max <= 0.25
+    assert 0.249 <= v_max <= 0.25 + 1e-12
 
+
+def test_flow_endpoint_takes_one_attempt_per_dblint_segment(dblint, monkeypatch):
+    # dblint's constant-input flows are quadratic in t, so the 5th-order step
+    # is exact on them and the first attempt, spanning the segment, is accepted
+    calls = [0]
+    stages = _rk._stages
+
+    def counted(*args):
+        calls[0] += 1
+        return stages(*args)
+
+    programs = [synthesize_step(dblint, x, 0.5).program
+                for x in ([1.0, 0.0], [-0.3, 0.954], [0.01, -0.02])]
+    programs.append(ControlProgram(((1.0, 0.5), (-3.0, 2.0), (0.25, 1e-3))))
+    monkeypatch.setattr(_rk, "_stages", counted)
+    for program in programs:
+        calls[0] = 0
+        flow_endpoint(dblint, [0.4, -0.7], program)
+        assert calls[0] == len(program.segments)
 
 
 def _resimulate(sysd, x0, result, tol):
@@ -319,8 +338,8 @@ def _recording(sysd):
 
 
 def test_flow_endpoint_stops_after_the_step_that_passes_the_limit(peak_inside_step):
-    # V rises from 0.01 to 0.25 along this program
-    program = ControlProgram(((-1.0, 2.0),))
+    # V rises from 0.01 to 0.25 along this program, one step per segment
+    program = ControlProgram(((-1.0, 0.25),) * 8)
     full, full_vs, full_calls = _recording(peak_inside_step)
     flow_endpoint(full, [0.0, 1.0], program)
     cut, cut_vs, cut_calls = _recording(peak_inside_step)
